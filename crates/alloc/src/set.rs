@@ -12,15 +12,14 @@
 //!   `#[repr(C)] { re: f32, im: f32 }`, so the layouts agree exactly.
 //!
 //! Sharing one chunk pool (rather than one typed pool per element) is
-//! deliberate: the in-place c2r transform converts complex spectrum
-//! buffers into real image buffers without copying, so with typed pools
-//! every training round would *migrate* capacity from the complex pool
-//! to the real pool and the complex pool would miss forever — the exact
-//! footprint creep the paper's design rules out. With a single pool the
-//! buffer simply comes back as so many `f32` units, whatever type it
-//! left as, and the footprint plateaus after the first few rounds
-//! (§VII-C). It also matches the paper more closely: the pools there
-//! hold chunks of 2^i *bytes*, not typed objects.
+//! deliberate: real images and half-spectra of one transform shape
+//! occupy neighbouring size classes, and the mix between them shifts
+//! with the workload (an FFT edge leases spectra and cropped reals, a
+//! direct edge only reals). With a single pool a chunk comes back as so
+//! many `f32` units, whatever type it left as, serves whichever
+//! personality asks next, and the footprint plateaus after the first
+//! few rounds (§VII-C). It also matches the paper more closely: the
+//! pools there hold chunks of 2^i *bytes*, not typed objects.
 //!
 //! # Invariant: even capacities for complex leases
 //!
@@ -31,10 +30,8 @@
 //! complex leases request ≥ 2 units and so pop from classes ≥ 1, whose
 //! pool-born chunks have power-of-two (even) capacity; the only odd
 //! capacity a pool-born chunk can have is the 1-unit class 0, which
-//! complex leases never touch; and buffers re-adopted after a c2r
-//! conversion have capacity `2 · complex capacity`, even by
-//! construction. The lease path still asserts the invariant rather than
-//! trusting it.
+//! complex leases never touch. The lease path still asserts the
+//! invariant rather than trusting it.
 
 use crate::pool::{BufferPool, ClassReport};
 use crate::stats::PoolStats;

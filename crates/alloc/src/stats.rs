@@ -49,10 +49,8 @@ impl PoolStats {
     /// counter negative — but while other leases are live it *does*
     /// make `bytes_in_use` under-count by the donated class size, so
     /// accounting-exact callers must only return buffers whose lease
-    /// was recorded here (the engine's `irfft3` re-adoption checks
-    /// pool identity for exactly this reason; manual
-    /// `BufferPool::put` donations trade a little accuracy for
-    /// convenience).
+    /// was recorded here (manual `BufferPool::put` donations trade a
+    /// little accuracy for convenience).
     pub fn record_free(&self, bytes: usize) {
         let _ = self
             .bytes_in_use

@@ -15,7 +15,7 @@
 //! tracked across PRs. `--smoke` runs one small size (CI keeps the
 //! bench bins from rotting without paying for the full sweep).
 //!
-//! Three extra sections ride along (all always recorded, so CI can
+//! Extra sections ride along (all always recorded, so CI can
 //! assert their JSON fields):
 //!
 //! * `"smooth_kernels"` — 3D r2c forward transforms at 5-smooth
@@ -33,6 +33,11 @@
 //!   allocations avoided per round, lifetime pool hit rate, and the
 //!   resident footprint (which freezes after the first rounds while
 //!   churn keeps flowing — the paper's flat-memory property).
+//! * `"pruned"` — the box-pruned r2c/c2r stages on the transforms an
+//!   FFT conv edge runs each round: kernel-sized (5³, 9³ dilated) and
+//!   image-sized inputs padded to 20³/32³/36³, and the 9³
+//!   kernel-gradient crop of an inverse. Each record holds the
+//!   full-box and pruned µs and the lines each stage transforms.
 //! * `"simd"` — the detected ISA and the SIMD microkernel speedups:
 //!   each batched Stockham butterfly radix and each pointwise op timed
 //!   dispatched vs pinned-scalar, plus the end-to-end 64³ r2c forward
@@ -345,6 +350,89 @@ fn main() {
             steady.0,
             pools.hit_rate() * 100.0
         );
+    }
+
+    // Box-pruned stages: the transforms an FFT conv edge runs every
+    // round, timed full-box (rfft3 of the explicitly padded input,
+    // crop of irfft3) vs pruned (forward_padded / inverse_real), with
+    // the lines each stage transforms. Kernel-sized inputs (5³, and
+    // 9³ once dilated) and image-sized inputs are padded to the plan's
+    // pads; the 9³ crop is a kernel gradient taken from its inverse.
+    {
+        let pads: &[usize] = if smoke { &[20] } else { &[20, 32, 36] };
+        let engine = FftEngine::with_threads(1);
+        let w = ops::random(Vec3::cube(5), 13);
+        let w_dilated = znn_tensor::pad::dilate(&w, Vec3::cube(2));
+        println!("\n# pruned — full-box vs box-pruned r2c/c2r stages (1 thread)\n");
+        header(&["case", "full µs", "pruned µs", "speedup", "full lines", "pruned lines"]);
+        json.push_str(",\n  \"pruned\": [\n");
+        let mut recs = Vec::new();
+        let mut push = |case: &str, n: Vec3, m: Vec3, full_s: f64, pruned_s: f64, full: [usize; 3], pruned: [usize; 3]| {
+            let (full_us, pruned_us) = (full_s * 1e6, pruned_s * 1e6);
+            row(&[
+                format!("{case} {n} in {m}"),
+                format!("{full_us:.1}"),
+                format!("{pruned_us:.1}"),
+                format!("{:.2}x", full_us / pruned_us),
+                format!("{full:?}"),
+                format!("{pruned:?}"),
+            ]);
+            recs.push(format!(
+                "    {{\"case\": \"{case}\", \"n\": {}, \"m\": {}, \"full_us\": {full_us:.2}, \
+                 \"pruned_us\": {pruned_us:.2}, \"speedup\": {:.2}, \"full_lines\": {full:?}, \
+                 \"pruned_lines\": {pruned:?}}}",
+                n[0],
+                m[0],
+                full_us / pruned_us
+            ));
+        };
+        for &p in pads {
+            let m = Vec3::cube(p);
+            let image = ops::random(Vec3::cube(p - 3), 14);
+            for (case, x) in [("kernel_fwd", &w), ("dilated_kernel_fwd", &w_dilated), ("image_fwd", &image)] {
+                let padded = znn_tensor::pad::pad(x, m, Vec3::zero());
+                let full_s = time_per_round(3, 20, || {
+                    std::hint::black_box(engine.rfft3(&padded));
+                });
+                let pruned_s = time_per_round(3, 20, || {
+                    std::hint::black_box(engine.forward_padded(x, m));
+                });
+                push(
+                    case,
+                    x.shape(),
+                    m,
+                    full_s,
+                    pruned_s,
+                    FftEngine::forward_stage_lines(m, m),
+                    FftEngine::forward_stage_lines(x.shape(), m),
+                );
+            }
+            // both inverses consume a spectrum clone: time the clone
+            // alone and take it off both
+            let crop = Vec3::cube(9);
+            let spec = engine.rfft3(&ops::random(m, 15));
+            let clone_s = time_per_round(3, 20, || {
+                std::hint::black_box(spec.clone());
+            });
+            let full_s = time_per_round(3, 20, || {
+                let real = engine.irfft3(spec.clone());
+                std::hint::black_box(znn_tensor::pad::crop(&real, Vec3::zero(), crop));
+            }) - clone_s;
+            let pruned_s = time_per_round(3, 20, || {
+                std::hint::black_box(engine.inverse_real(spec.clone(), Vec3::zero(), crop));
+            }) - clone_s;
+            push(
+                "kernel_grad_inv",
+                crop,
+                m,
+                full_s.max(f64::EPSILON),
+                pruned_s.max(f64::EPSILON),
+                FftEngine::inverse_stage_lines(m, m),
+                FftEngine::inverse_stage_lines(m, crop),
+            );
+        }
+        json.push_str(&recs.join(",\n"));
+        json.push_str("\n  ]");
     }
 
     if spawn_compare {

@@ -202,8 +202,7 @@ impl Drop for Znn {
     fn drop(&mut self) {
         // drain pending updates and the task queue so no queued closure
         // keeps the runtime alive past the engine
-        self.flush_updates();
-        self.inner.sched.wait_quiescent();
+        self.wait_quiescent();
     }
 }
 
@@ -231,7 +230,7 @@ impl Znn {
         let fft_pool = Arc::new(rayon::ThreadPool::donor_only());
         let fft_budget = cfg.fft_threads.unwrap_or(cfg.workers).max(1);
         // one memory budget too: every engine-allocated buffer (spectra,
-        // padded inputs, cropped outputs, scratch) leases from the
+        // real outputs, scratch) leases from the
         // configured PoolSet, so steady-state rounds never touch the
         // system allocator (§VII-C)
         let mut fft = FftEngine::with_pool(fft_budget, Arc::clone(&fft_pool));
@@ -733,13 +732,24 @@ impl Znn {
     }
 
     /// Forces every pending parameter update to completion (used before
-    /// reading parameters and at the end of training).
+    /// reading parameters and at the end of training). A queued update
+    /// runs on the calling thread; one already executing on a worker is
+    /// waited for, so every kernel write has landed when this returns.
     pub fn flush_updates(&self) {
         for e in &self.inner.edges {
             if let Some(h) = e.update_handle() {
                 h.force(Box::new(|| {}));
+                h.wait_idle();
             }
         }
+    }
+
+    /// Flushes every pending update and blocks until the scheduler has
+    /// run every queued task: afterwards no task of a past round is
+    /// running or pending.
+    pub fn wait_quiescent(&self) {
+        self.flush_updates();
+        self.inner.sched.wait_quiescent();
     }
 
     /// Snapshot of all trainable parameters (flushes updates first).

@@ -284,3 +284,40 @@ fn fft_thread_budget_routes_from_config_without_changing_results() {
     assert_eq!(serial, wide, "4-way fan-out drifted from serial");
     assert!(serial[0].is_finite());
 }
+
+#[test]
+fn params_right_after_a_round_include_every_running_update() {
+    // train_step returns with this round's updates queued at the lowest
+    // priority, and a worker may already be executing one when params()
+    // runs: the snapshot must wait for it, so it equals the snapshot
+    // taken once the engine is fully quiescent
+    let net = NetBuilder::new("wide", 1)
+        .conv(8, Vec3::flat(3, 3))
+        .transfer(Transfer::Tanh)
+        .conv(8, Vec3::flat(3, 3))
+        .transfer(Transfer::Tanh)
+        .conv(1, Vec3::flat(3, 3))
+        .transfer(Transfer::Logistic)
+        .build()
+        .unwrap()
+        .0;
+    let out = Vec3::flat(12, 12);
+    let cfg = TrainConfig {
+        learning_rate: 0.01,
+        ..TrainConfig::test_default(2)
+    };
+    let znn = Znn::new(net, out, cfg).unwrap();
+    let x = ops::random(znn.input_shape(), 5);
+    let target = ops::random(out, 6);
+    for round in 0..200 {
+        znn.train_step(std::slice::from_ref(&x), std::slice::from_ref(&target));
+        let early = znn.params();
+        znn.wait_quiescent();
+        let settled = znn.params();
+        assert!(
+            early == settled,
+            "round {round}: params() missed a running update (max change {})",
+            early.max_abs_diff(&settled)
+        );
+    }
+}

@@ -4,6 +4,7 @@ use parking_lot::Mutex;
 use rustfft::{Fft, FftPlanner};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use znn_alloc::PoolSet;
@@ -109,23 +110,35 @@ fn borrow_buf<'a>(
 
 /// A raw tensor base pointer that may cross thread boundaries.
 ///
-/// Used by the parallel x/y line transforms: the lines along a strided
-/// axis interleave in memory, so the buffer cannot be split into
+/// Used by every parallel line loop: the lines along a strided axis
+/// interleave in memory, and the r2c stage scatters its lines into a
+/// sub-box of the half-spectrum, so the buffer cannot be split into
 /// contiguous `&mut` chunks per worker. Soundness rests on the line
-/// decomposition instead: line `i` touches exactly the elements
-/// `starts[i] + k·stride`, sets that are pairwise disjoint across lines,
-/// and each worker is handed a disjoint range of line indices.
+/// decomposition instead: each line touches a set of elements
+/// (`start(i) + k·stride`, or one contiguous run) that is disjoint
+/// from every other line's, and each worker is handed a disjoint range
+/// of line indices.
 #[derive(Clone, Copy)]
-struct SendPtr(*mut Complex32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+struct SendPtr<T>(*mut T);
+unsafe impl<T> Send for SendPtr<T> {}
+unsafe impl<T> Sync for SendPtr<T> {}
 
-impl SendPtr {
+impl<T> SendPtr<T> {
     /// The wrapped pointer. A method (rather than field access) so
     /// closures capture the `Send` wrapper, not the bare pointer —
     /// edition-2021 closures capture individual fields otherwise.
-    fn get(self) -> *mut Complex32 {
+    fn get(self) -> *mut T {
         self.0
+    }
+
+    /// The `len` elements starting `offset` elements past the base.
+    ///
+    /// # Safety
+    ///
+    /// The run must lie inside the buffer the pointer was taken from,
+    /// and no other live reference may overlap it.
+    unsafe fn run<'a>(self, offset: usize, len: usize) -> &'a mut [T] {
+        std::slice::from_raw_parts_mut(self.0.add(offset), len)
     }
 }
 
@@ -174,7 +187,7 @@ type TwiddleMap = HashMap<(usize, Dir), Arc<Vec<Complex32>>>;
 /// Transforms are decomposed per axis into batches of independent 1D
 /// lines, and every batched line loop — the in-place contiguous `z`
 /// pass, the `x`/`y` gather–transform–scatter passes, and the r2c pack /
-/// c2r unpack passes — splits its lines into contiguous index ranges
+/// c2r unpack passes — splits the lines it runs into contiguous index ranges
 /// across up to [`FftEngine::threads`] chunks, queued on a
 /// **persistent pool** (`rayon::scope`): the engine's own pool when
 /// built with [`FftEngine::with_pool`], else the process-global one.
@@ -209,11 +222,11 @@ type TwiddleMap = HashMap<(usize, Dir), Arc<Vec<Complex32>>>;
 /// # Memory model
 ///
 /// With [`FftEngine::with_buffer_pools`] every buffer the engine
-/// allocates — half-spectra, padded transform inputs, cropped outputs,
-/// per-slot scratch — is leased from a `znn_alloc::PoolSet` and
-/// recycled when the produced tensor drops (`irfft3` additionally
-/// re-adopts the spectrum's storage it consumed in place, so the c2r
-/// buffer reuse survives pooling). A steady-state transform loop then
+/// allocates — half-spectra, real outputs, per-slot scratch — is
+/// leased from a `znn_alloc::PoolSet` and recycled when the produced
+/// tensor drops; a consumed spectrum's buffer goes back to whichever
+/// pool (if any) it was leased from. No padded copy of a transform
+/// input is ever made. A steady-state transform loop then
 /// performs zero allocation; see the crate-level docs of `znn-alloc`
 /// and the §VII-C discussion in `docs/ARCHITECTURE.md`.
 ///
@@ -230,7 +243,7 @@ type TwiddleMap = HashMap<(usize, Dir), Arc<Vec<Complex32>>>;
 /// let spec = engine.rfft3(&img);
 /// // the half-spectrum stores 25 of 48 packed-axis bins per line
 /// assert_eq!(spec.half().shape(), Vec3::new(48, 48, 25));
-/// // the inverse consumes its spectrum in place and round-trips
+/// // the inverse consumes its spectrum and round-trips
 /// let back = engine.irfft3(spec);
 /// assert!(back.max_abs_diff(&img) < 1e-5);
 /// ```
@@ -268,8 +281,8 @@ pub struct FftEngine {
     /// Slotted per-worker scratch (see [`ScratchPool`]).
     scratch: ScratchPool,
     /// Recycling pools every transform buffer is leased from when set
-    /// ([`FftEngine::with_buffer_pools`]): half-spectra, padded inputs,
-    /// cropped outputs, per-slot scratch. `None` allocates plainly.
+    /// ([`FftEngine::with_buffer_pools`]): half-spectra, real outputs,
+    /// per-slot scratch. `None` allocates plainly.
     pools: Option<Arc<PoolSet>>,
 }
 
@@ -359,8 +372,8 @@ impl FftEngine {
         self
     }
 
-    /// Routes every buffer this engine allocates — half-spectra, padded
-    /// transform inputs, cropped outputs, per-slot scratch — through
+    /// Routes every buffer this engine allocates — half-spectra, real
+    /// outputs, per-slot scratch — through
     /// `pools` (the paper's §VII-C recycling allocator). Leased buffers
     /// return to the pool when the produced tensors drop, so a
     /// steady-state transform loop performs **zero** allocation after
@@ -368,14 +381,11 @@ impl FftEngine {
     /// the unpooled engine (pool leases are zero-filled exactly like
     /// fresh buffers, and slot/chunk assignment never affects values).
     ///
-    /// Use **one `PoolSet` per pipeline**: a spectrum leased from a
-    /// *different* pool and consumed by this engine's [`FftEngine::irfft3`]
-    /// is treated as foreign — transformed correctly, but its storage
-    /// is detached rather than adopted (adopting never-leased bytes
-    /// would corrupt this pool's accounting), so the originating pool
-    /// keeps the bytes counted in use and re-misses that class next
-    /// round. Correctness is unaffected; the flat-footprint guarantee
-    /// only holds within a single pool.
+    /// A spectrum consumed by [`FftEngine::irfft3`] or
+    /// [`FftEngine::inverse_real`] keeps its own custody: its buffer
+    /// returns to the pool that leased it, or is freed if it was never
+    /// leased, so a foreign spectrum never enters this pool's
+    /// accounting.
     ///
     /// ```
     /// use znn_alloc::PoolSet;
@@ -512,112 +522,69 @@ impl FftEngine {
         self.plans.lock().len()
     }
 
-    fn transform_axis(&self, t: &mut CImage, axis: Axis, dir: Dir) {
-        let shape = t.shape();
-        let len = shape[axis as usize];
-        if len == 1 {
+    /// Transforms the lines `lines` (numbered as in [`LineSpec`]) of `t`
+    /// along `axis` in place; every other line is left untouched. A
+    /// length-1 axis is the identity and costs nothing.
+    fn transform_lines(&self, t: &mut CImage, axis: Axis, dir: Dir, lines: Range<usize>) {
+        let spec = LineSpec::new(t.shape(), axis);
+        if spec.len == 1 {
             return; // a length-1 DFT is the identity
         }
-        let plan = self.plan(len, dir);
-        let count = t.len() / len;
-        let workers = self.workers_for(count, len);
-        if axis == Axis::Z {
-            // contiguous lines: the buffer splits into per-worker chunks
-            // at line boundaries, each processed in place
-            if workers <= 1 {
-                self.scratch.with(|s| {
-                    let scratch = borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
-                    plan.process_with_scratch(t.as_mut_slice(), scratch);
-                });
-            } else {
-                let per = count.div_ceil(workers);
-                let plan = &plan;
-                let scratch_pool = &self.scratch;
-                self.in_scope(|sc| {
-                    for chunk in t.as_mut_slice().chunks_mut(per * len) {
-                        sc.spawn(move |_| {
-                            scratch_pool.with(|s| {
-                                let scratch =
-                                    borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
-                                plan.process_with_scratch(chunk, scratch);
-                            });
-                        });
-                    }
-                });
-            }
-            return;
-        }
-        let spec = LineSpec::new(shape, axis);
-        if workers <= 1 {
-            // gather lines in groups of LINE_BATCH so a full group runs
-            // the Stockham kernels' batched SIMD path in one call
+        debug_assert!(lines.end <= spec.count);
+        let plan = self.plan(spec.len, dir);
+        let base = SendPtr(t.as_mut_slice().as_mut_ptr());
+        self.par_lines(lines, spec.len, &|lo, hi| {
             self.scratch.with(|s| {
                 let scratch = borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
+                if axis == Axis::Z {
+                    // contiguous lines: the whole range transforms in
+                    // place in one call.
+                    // SAFETY: lines [lo, hi) are the elements
+                    // [lo·len, hi·len) of `t`, and this worker's range
+                    // is disjoint from every other worker's.
+                    let run = unsafe { base.run(lo * spec.len, (hi - lo) * spec.len) };
+                    plan.process_with_scratch(run, scratch);
+                    return;
+                }
+                // strided lines interleave: gather them in groups of
+                // LINE_BATCH so a full group runs the Stockham kernels'
+                // batched SIMD path in one call, then scatter them back
+                let ptr = base.get();
                 let buf = borrow_buf(&mut s.line, LINE_BATCH * spec.len, s.home.as_ref());
-                let mut i = 0;
-                while i < spec.count {
-                    let g = LINE_BATCH.min(spec.count - i);
+                let mut i = lo;
+                while i < hi {
+                    let g = LINE_BATCH.min(hi - i);
                     let group = &mut buf[..g * spec.len];
+                    // SAFETY: line i touches exactly the elements
+                    // start(i) + k·stride, k < len — pairwise disjoint
+                    // across lines, all in bounds by LineSpec's
+                    // construction — and this worker's line range
+                    // [lo, hi) is disjoint from every other worker's.
                     for (j, line) in group.chunks_exact_mut(spec.len).enumerate() {
-                        spec.read_line(t, i + j, line);
+                        let mut p = spec.start(i + j);
+                        for b in line.iter_mut() {
+                            unsafe { *b = *ptr.add(p) };
+                            p += spec.stride;
+                        }
                     }
                     plan.process_with_scratch(group, scratch);
                     for (j, line) in group.chunks_exact(spec.len).enumerate() {
-                        spec.write_line(t, i + j, line);
+                        let mut p = spec.start(i + j);
+                        for b in line.iter() {
+                            unsafe { *ptr.add(p) = *b };
+                            p += spec.stride;
+                        }
                     }
                     i += g;
                 }
             });
-            return;
-        }
-        // strided lines interleave, so workers share the buffer through a
-        // raw base pointer and own disjoint ranges of line indices
-        let base = SendPtr(t.as_mut_slice().as_mut_ptr());
-        let per = count.div_ceil(workers);
-        let plan = &plan;
-        let spec = &spec;
-        let scratch_pool = &self.scratch;
-        self.in_scope(|sc| {
-            let mut lo = 0;
-            while lo < count {
-                let hi = (lo + per).min(count);
-                sc.spawn(move |_| {
-                    let ptr = base.get();
-                    scratch_pool.with(|s| {
-                        let scratch = borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
-                        let buf = borrow_buf(&mut s.line, LINE_BATCH * spec.len, s.home.as_ref());
-                        let mut i = lo;
-                        while i < hi {
-                            let g = LINE_BATCH.min(hi - i);
-                            let group = &mut buf[..g * spec.len];
-                            // SAFETY: line i touches exactly the elements
-                            // starts[i] + k·stride, k < len — pairwise
-                            // disjoint across lines, and this worker's
-                            // line range [lo, hi) is disjoint from every
-                            // other worker's. All offsets are in bounds
-                            // by LineSpec's construction.
-                            for (j, line) in group.chunks_exact_mut(spec.len).enumerate() {
-                                let mut p = spec.starts()[i + j];
-                                for b in line.iter_mut() {
-                                    unsafe { *b = *ptr.add(p) };
-                                    p += spec.stride;
-                                }
-                            }
-                            plan.process_with_scratch(group, scratch);
-                            for (j, line) in group.chunks_exact(spec.len).enumerate() {
-                                let mut p = spec.starts()[i + j];
-                                for b in line.iter() {
-                                    unsafe { *ptr.add(p) = *b };
-                                    p += spec.stride;
-                                }
-                            }
-                            i += g;
-                        }
-                    });
-                });
-                lo = hi;
-            }
         });
+    }
+
+    /// Transforms every line of `t` along `axis` in place.
+    fn transform_axis(&self, t: &mut CImage, axis: Axis, dir: Dir) {
+        let count = t.len() / t.shape()[axis as usize];
+        self.transform_lines(t, axis, dir, 0..count);
     }
 
     /// In-place forward 3D FFT (unnormalized, like fftw/MKL).
@@ -649,251 +616,38 @@ impl FftEngine {
     /// keeps the packed axis even, so this path is cold). The remaining
     /// axes are c2c transforms over the (already halved) packed tensor.
     ///
-    /// Lines are split across the engine's workers; see the
-    /// [threading model](FftEngine#threading-model).
+    /// This is the full-box case of [`FftEngine::forward_padded`]: both
+    /// run the same routine. Lines are split across the engine's
+    /// workers; see the [threading model](FftEngine#threading-model).
     pub fn rfft3(&self, img: &Image) -> Spectrum {
-        let m = img.shape();
-        let pa = Spectrum::packed_axis(m);
-        let n = m[pa];
-        let h = n / 2 + 1;
-        let mut half = self.lease_cimage(Spectrum::half_shape(m));
-        let lines = m.len() / n;
-        if n == 1 {
-            // the all-unit shape: a 1-point DFT is the identity
-            for (d, s) in half.as_mut_slice().iter_mut().zip(img.as_slice()) {
-                *d = Complex32::new(*s, 0.0);
-            }
-        } else if n.is_multiple_of(2) {
-            let hn = n / 2;
-            let plan = (hn > 1).then(|| self.plan(hn, Dir::Fwd));
-            let tw = self.rtwiddle(n, Dir::Fwd);
-            let pack = |src_all: &[f32], dst_all: &mut [Complex32]| {
-                // pack LINE_BATCH lines per transform call so a full
-                // group runs the Stockham batched SIMD path
-                self.scratch.with(|s| {
-                    let scratch = borrow_buf(
-                        &mut s.plan,
-                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
-                        s.home.as_ref(),
-                    );
-                    let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
-                    for (sg, dg) in src_all
-                        .chunks(LINE_BATCH * n)
-                        .zip(dst_all.chunks_mut(LINE_BATCH * h))
-                    {
-                        let g = sg.len() / n;
-                        let group = &mut buf[..g * hn];
-                        for (src, line) in
-                            sg.chunks_exact(n).zip(group.chunks_exact_mut(hn))
-                        {
-                            for (t, b) in line.iter_mut().enumerate() {
-                                *b = Complex32::new(src[2 * t], src[2 * t + 1]);
-                            }
-                        }
-                        if let Some(p) = &plan {
-                            p.process_with_scratch(group, scratch);
-                        }
-                        for (dst, line) in
-                            dg.chunks_exact_mut(h).zip(group.chunks_exact(hn))
-                        {
-                            for (k, d) in dst.iter_mut().enumerate() {
-                                let zk = line[k % hn];
-                                let zc = line[(hn - k) % hn].conj();
-                                let ze = (zk + zc) * 0.5;
-                                let zo = (zk - zc) * Complex32::new(0.0, -0.5);
-                                *d = ze + tw[k] * zo;
-                            }
-                        }
-                    }
-                });
-            };
-            self.par_line_chunks(
-                self.workers_for(lines, n),
-                lines,
-                img.as_slice(),
-                n,
-                half.as_mut_slice(),
-                h,
-                &pack,
-            );
-        } else {
-            let plan = self.plan(n, Dir::Fwd);
-            let pack = |src_all: &[f32], dst_all: &mut [Complex32]| {
-                self.scratch.with(|s| {
-                    let scratch = borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
-                    let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
-                    for (src, dst) in src_all.chunks_exact(n).zip(dst_all.chunks_exact_mut(h)) {
-                        for (b, v) in buf.iter_mut().zip(src) {
-                            *b = Complex32::new(*v, 0.0);
-                        }
-                        plan.process_with_scratch(buf, scratch);
-                        dst.copy_from_slice(&buf[..h]);
-                    }
-                });
-            };
-            self.par_line_chunks(
-                self.workers_for(lines, n),
-                lines,
-                img.as_slice(),
-                n,
-                half.as_mut_slice(),
-                h,
-                &pack,
-            );
-        }
-        // the remaining (un-packed) axes, in Z..X order so the inverse
-        // can mirror the stage order exactly
-        for axis in Axis::ALL.into_iter().rev() {
-            if axis as usize != pa {
-                self.transform_axis(&mut half, axis, Dir::Fwd);
-            }
-        }
-        Spectrum::new(half, m)
+        self.r2c(img, img.shape())
     }
 
     /// Inverse of [`FftEngine::rfft3`], normalized so
-    /// `irfft3(rfft3(x)) == x`. Consumes the spectrum: the inverse is
-    /// computed in place on its buffer, and the real output *reuses that
-    /// buffer's storage* — the interleaved unpack writes each real line
-    /// into the (strictly larger) slot its complex bins occupied, then
-    /// one compaction pass packs the lines tight. No per-call output
-    /// allocation.
+    /// `irfft3(rfft3(x)) == x`. Consumes the spectrum: the two c2c
+    /// stages run in place on its buffer, and the c2r stage writes the
+    /// real lines into a freshly leased output image; the spectrum's
+    /// buffer is recycled when the call returns.
+    ///
+    /// This is the full-box case of [`FftEngine::inverse_real`]: both
+    /// run the same routine.
     pub fn irfft3(&self, spec: Spectrum) -> Image {
         let m = spec.full_shape();
-        let pa = Spectrum::packed_axis(m);
-        let n = m[pa];
-        let h = n / 2 + 1;
-        // Re-adopt the output storage into the pool only when the
-        // incoming spectrum's buffer was leased from THIS engine's own
-        // pool: the lease is still counted in the pool's bytes_in_use
-        // (into_vec below detaches without touching the counters), so
-        // the eventual recycle balances it exactly. Adopting a raw or
-        // foreign-pool buffer instead would push never-leased bytes at
-        // the pool and corrupt its accounting.
-        let adopt_home = match &self.pools {
-            Some(p) => spec
-                .half()
-                .home()
-                .is_some_and(|h| Arc::ptr_eq(h, p.complex_home()))
-                .then(|| Arc::clone(p.real_home())),
-            None => None,
-        };
-        let mut half = spec.into_half();
-        for axis in Axis::ALL {
-            if axis as usize != pa {
-                self.transform_axis(&mut half, axis, Dir::Inv);
-            }
-        }
-        let lines = m.len() / n;
-        // the non-packed inverse stages above are unnormalized, each
-        // contributing its extent; the packed stage contributes n/2
-        // (even), n (odd) or 1 (unit)
-        let zfac = if n == 1 {
-            1
-        } else if n.is_multiple_of(2) {
-            n / 2
-        } else {
-            n
-        };
-        let scale = 1.0 / ((m.len() / n) * zfac) as f32;
-        // In-place c2r: view the half buffer as interleaved f32 storage.
-        // Line i's h complex bins occupy the 2h-float "slot" at 2·i·h;
-        // its n real outputs (n ≤ 2h-1) are written back into the same
-        // slot's prefix after the bins are consumed into scratch, so
-        // parallel workers stay inside their own slots and nothing
-        // allocates.
-        let mut data = complex_vec_into_reals(half.into_vec());
-        if n == 1 {
-            data[0] *= scale; // single voxel (slot [re, im], output [re])
-        } else if n.is_multiple_of(2) {
-            let hn = n / 2;
-            let plan = (hn > 1).then(|| self.plan(hn, Dir::Inv));
-            let tw = self.rtwiddle(n, Dir::Inv);
-            let unpack = |slots: &mut [f32]| {
-                // repack LINE_BATCH slots per transform call so a full
-                // group runs the Stockham batched SIMD path
-                self.scratch.with(|s| {
-                    let scratch = borrow_buf(
-                        &mut s.plan,
-                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
-                        s.home.as_ref(),
-                    );
-                    let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
-                    for sg in slots.chunks_mut(LINE_BATCH * 2 * h) {
-                        let g = sg.len() / (2 * h);
-                        let group = &mut buf[..g * hn];
-                        for (slot, line) in
-                            sg.chunks_exact(2 * h).zip(group.chunks_exact_mut(hn))
-                        {
-                            for (k, b) in line.iter_mut().enumerate() {
-                                let xk = Complex32::new(slot[2 * k], slot[2 * k + 1]);
-                                let xc =
-                                    Complex32::new(slot[2 * (hn - k)], -slot[2 * (hn - k) + 1]);
-                                let ze = (xk + xc) * 0.5;
-                                let zo = (xk - xc) * 0.5 * tw[k];
-                                // z[k] = ze + i·zo repacks even/odd interleaving
-                                *b = Complex32::new(ze.re - zo.im, ze.im + zo.re);
-                            }
-                        }
-                        if let Some(p) = &plan {
-                            p.process_with_scratch(group, scratch);
-                        }
-                        for (slot, line) in
-                            sg.chunks_exact_mut(2 * h).zip(group.chunks_exact(hn))
-                        {
-                            for (t, b) in line.iter().enumerate() {
-                                slot[2 * t] = b.re * scale;
-                                slot[2 * t + 1] = b.im * scale;
-                            }
-                        }
-                    }
-                });
-            };
-            self.par_slot_chunks(self.workers_for(lines, n), lines, &mut data, 2 * h, &unpack);
-        } else {
-            let plan = self.plan(n, Dir::Inv);
-            let unpack = |slots: &mut [f32]| {
-                self.scratch.with(|s| {
-                    let scratch = borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
-                    let buf = borrow_buf(&mut s.line, n, s.home.as_ref());
-                    for slot in slots.chunks_exact_mut(2 * h) {
-                        for (k, b) in buf[..h].iter_mut().enumerate() {
-                            *b = Complex32::new(slot[2 * k], slot[2 * k + 1]);
-                        }
-                        // Hermitian reconstruction of the dropped bins
-                        for k in 1..h {
-                            buf[n - k] =
-                                Complex32::new(slot[2 * k], -slot[2 * k + 1]);
-                        }
-                        plan.process_with_scratch(buf, scratch);
-                        for (d, b) in slot[..n].iter_mut().zip(buf.iter()) {
-                            *d = b.re * scale;
-                        }
-                    }
-                });
-            };
-            self.par_slot_chunks(self.workers_for(lines, n), lines, &mut data, 2 * h, &unpack);
-        }
-        // compact the per-slot real lines into a dense image: line i
-        // moves left from 2·i·h to i·n, so a forward pass never
-        // overwrites an unmoved line
-        for i in 1..lines {
-            data.copy_within(2 * i * h..2 * i * h + n, i * n);
-        }
-        data.truncate(m.len());
-        let out = Image::from_vec(m, data);
-        // The storage began life as the spectrum's complex lease and was
-        // detached by the reinterpretation; re-adopt it (as so many f32
-        // units) so it rejoins the same chunk pool when the image drops.
-        match adopt_home {
-            Some(home) => out.with_home(home),
-            None => out,
-        }
+        self.c2r(spec, Vec3::zero(), m)
     }
 
     /// The forward transform of the staged convolution API: zero-pads a
     /// real image to `shape` (placing it at the origin) and takes its
     /// r2c transform.
+    ///
+    /// No padded copy is made, and only the lines that can be nonzero
+    /// are transformed (see [`FftEngine::forward_stage_lines`]): the
+    /// packed stage runs the image's own lines, zero-extended on the
+    /// fly; the middle stage runs only the lines inside the image's
+    /// extent along the last axis; the last stage runs in full. The
+    /// skipped lines keep the zeros of the leased spectrum. Every bin
+    /// equals (`==`) the bin of `rfft3` on the explicitly padded image;
+    /// only the sign of an exact zero may differ.
     ///
     /// This is the per-node transform that convergent edges share (§IV);
     /// each memoized result is a [`Spectrum`] occupying roughly half the
@@ -904,15 +658,7 @@ impl FftEngine {
             "image {} does not fit transform shape {shape}",
             img.shape()
         );
-        if img.shape() == shape {
-            self.rfft3(img)
-        } else {
-            // the padded copy is transient: leased from the pool (zeroed
-            // like any lease) and recycled the moment the transform ends
-            let mut padded = self.lease_image(shape);
-            znn_tensor::pad::pad_into(img, &mut padded, Vec3::zero());
-            self.rfft3(&padded)
-        }
+        self.r2c(img, shape)
     }
 
     /// c2c variant of [`FftEngine::forward_padded`], kept as the parity
@@ -935,15 +681,20 @@ impl FftEngine {
     /// The inverse stage: transforms a frequency-domain accumulator back
     /// and extracts the real box of `shape` at `at` — the crop that turns
     /// circular convolution into valid/full linear convolution.
+    ///
+    /// Only the lines that reach the box are transformed (see
+    /// [`FftEngine::inverse_stage_lines`]): the first stage runs in
+    /// full, the second only on the box's slab of the last axis, and
+    /// the c2r stage only on the box's own lines, each writing its
+    /// slice of the packed axis straight into the leased output. The
+    /// result is bit-identical to cropping [`FftEngine::irfft3`].
     pub fn inverse_real(&self, spec: Spectrum, at: Vec3, shape: Vec3) -> Image {
-        let real = self.irfft3(spec);
-        if at == Vec3::zero() && shape == real.shape() {
-            real
-        } else {
-            let mut out = self.lease_image(shape);
-            znn_tensor::pad::crop_into(&real, at, &mut out);
-            out
-        }
+        assert!(
+            (at + shape).le(spec.full_shape()),
+            "box {shape} at {at} does not fit transform shape {}",
+            spec.full_shape()
+        );
+        self.c2r(spec, at, shape)
     }
 
     /// c2c variant of [`FftEngine::inverse_real`], kept as the parity
@@ -957,77 +708,311 @@ impl FftEngine {
             znn_tensor::pad::crop(&real, at, shape)
         }
     }
-}
 
-impl FftEngine {
-    /// Runs `work` over a batch of `lines` lines that are contiguous in
-    /// both buffers (`src_len` reals in, `dst_len` complexes out per
-    /// line): serially for one worker, else split into per-worker
-    /// chunks of whole lines on the engine's pool. The chunk boundaries
-    /// depend only on `(workers, lines)`, and each line's arithmetic is
-    /// independent of its chunk, so the result is identical for every
-    /// worker count.
-    #[allow(clippy::too_many_arguments)]
-    fn par_line_chunks(
-        &self,
-        workers: usize,
-        lines: usize,
-        src: &[f32],
-        src_len: usize,
-        dst: &mut [Complex32],
-        dst_len: usize,
-        work: &(impl Fn(&[f32], &mut [Complex32]) + Sync),
-    ) {
+    /// Lines transformed by each stage of [`FftEngine::forward_padded`]
+    /// of an `n`-sized image into transform shape `m`, in stage order
+    /// `[packed, middle, last]`; a unit-length stage transforms none.
+    /// `forward_stage_lines(m, m)` is the full-box count of
+    /// [`FftEngine::rfft3`].
+    pub fn forward_stage_lines(n: Vec3, m: Vec3) -> [usize; 3] {
+        let st = Stages::new(m);
+        let slab = st.slab(0..n[st.last as usize]);
+        [
+            if m[st.pa] == 1 { 0 } else { n.len() / n[st.pa] },
+            st.count(st.mid, slab.len()),
+            st.count(st.last, st.all(st.last).len()),
+        ]
+    }
+
+    /// Lines transformed by each stage of [`FftEngine::inverse_real`]
+    /// of a transform of shape `m` cropped to a `shape`-sized box, in
+    /// stage order `[first, second, c2r]`; a unit-length stage
+    /// transforms none. `inverse_stage_lines(m, m)` is the full-box
+    /// count of [`FftEngine::irfft3`].
+    pub fn inverse_stage_lines(m: Vec3, shape: Vec3) -> [usize; 3] {
+        let st = Stages::new(m);
+        let slab = st.slab(0..shape[st.last as usize]);
+        [
+            st.count(st.last, st.all(st.last).len()),
+            st.count(st.mid, slab.len()),
+            if m[st.pa] == 1 { 0 } else { shape.len() / shape[st.pa] },
+        ]
+    }
+
+    /// The one r2c routine: the half-spectrum of `img` zero-extended to
+    /// `m`, transforming only the lines that can be nonzero.
+    fn r2c(&self, img: &Image, m: Vec3) -> Spectrum {
+        let n = img.shape();
+        let st = Stages::new(m);
+        let len = m[st.pa];
+        let h = len / 2 + 1;
+        let src_len = n[st.pa];
+        let src = img.as_slice();
+        let mut half = self.lease_cimage(Spectrum::half_shape(m));
+        // source line i (the image's lines along the packed axis, last
+        // axis outermost) is half-spectrum line (i / n_mid)·m_mid +
+        // i % n_mid; every other half line stays at the lease's zeros
+        let (n_mid, m_mid) = (n[st.mid as usize], m[st.mid as usize]);
+        let line_of = |i: usize| &src[i * src_len..(i + 1) * src_len];
+        let dst = SendPtr(half.as_mut_slice().as_mut_ptr());
+        // SAFETY: distinct source lines map to distinct, in-bounds half
+        // lines, and each worker owns a disjoint range of source lines.
+        let bins_of = |i: usize| unsafe { dst.run(((i / n_mid) * m_mid + i % n_mid) * h, h) };
+        let count = src.len() / src_len;
+        if len == 1 {
+            // the all-unit shape: a 1-point DFT is the identity
+            for i in 0..count {
+                bins_of(i)[0] = Complex32::new(line_of(i)[0], 0.0);
+            }
+        } else if len.is_multiple_of(2) {
+            let hn = len / 2;
+            let plan = (hn > 1).then(|| self.plan(hn, Dir::Fwd));
+            let tw = self.rtwiddle(len, Dir::Fwd);
+            self.par_lines(0..count, len, &|lo, hi| {
+                // pack LINE_BATCH lines per transform call so a full
+                // group runs the Stockham batched SIMD path
+                self.scratch.with(|s| {
+                    let scratch = borrow_buf(
+                        &mut s.plan,
+                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
+                        s.home.as_ref(),
+                    );
+                    let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
+                    let mut i = lo;
+                    while i < hi {
+                        let g = LINE_BATCH.min(hi - i);
+                        let group = &mut buf[..g * hn];
+                        for (j, line) in group.chunks_exact_mut(hn).enumerate() {
+                            // the samples past the image are the padding
+                            line.fill(Complex32::default());
+                            for (b, pair) in line.iter_mut().zip(line_of(i + j).chunks(2)) {
+                                *b = Complex32::new(pair[0], pair.get(1).copied().unwrap_or(0.0));
+                            }
+                        }
+                        if let Some(p) = &plan {
+                            p.process_with_scratch(group, scratch);
+                        }
+                        for (j, line) in group.chunks_exact(hn).enumerate() {
+                            for (k, d) in bins_of(i + j).iter_mut().enumerate() {
+                                let zk = line[k % hn];
+                                let zc = line[(hn - k) % hn].conj();
+                                let ze = (zk + zc) * 0.5;
+                                let zo = (zk - zc) * Complex32::new(0.0, -0.5);
+                                *d = ze + tw[k] * zo;
+                            }
+                        }
+                        i += g;
+                    }
+                });
+            });
+        } else {
+            let plan = self.plan(len, Dir::Fwd);
+            self.par_lines(0..count, len, &|lo, hi| {
+                self.scratch.with(|s| {
+                    let scratch = borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
+                    let buf = borrow_buf(&mut s.line, len, s.home.as_ref());
+                    for i in lo..hi {
+                        buf.fill(Complex32::default());
+                        for (b, v) in buf.iter_mut().zip(line_of(i)) {
+                            *b = Complex32::new(*v, 0.0);
+                        }
+                        plan.process_with_scratch(buf, scratch);
+                        bins_of(i).copy_from_slice(&buf[..h]);
+                    }
+                });
+            });
+        }
+        // the c2c stages, in the reverse of the inverse's order: the
+        // middle stage only where the last axis lies inside the image
+        self.transform_lines(&mut half, st.mid, Dir::Fwd, st.slab(0..n[st.last as usize]));
+        self.transform_lines(&mut half, st.last, Dir::Fwd, st.all(st.last));
+        Spectrum::new(half, m)
+    }
+
+    /// The one c2r routine: the real box of `shape` at `at` of the
+    /// inverse of `spec`, transforming only the lines that reach it.
+    fn c2r(&self, spec: Spectrum, at: Vec3, shape: Vec3) -> Image {
+        let m = spec.full_shape();
+        let st = Stages::new(m);
+        let mut half = spec.into_half();
+        self.transform_lines(&mut half, st.last, Dir::Inv, st.all(st.last));
+        let (a_last, s_last) = (at[st.last as usize], shape[st.last as usize]);
+        self.transform_lines(&mut half, st.mid, Dir::Inv, st.slab(a_last..a_last + s_last));
+        let len = m[st.pa];
+        let h = len / 2 + 1;
+        // the c2c inverse stages are unnormalized, each contributing
+        // its extent; the packed stage contributes len/2 (even), len
+        // (odd) or 1 (unit)
+        let zfac = if len == 1 {
+            1
+        } else if len.is_multiple_of(2) {
+            len / 2
+        } else {
+            len
+        };
+        let scale = 1.0 / ((m.len() / len) * zfac) as f32;
+        // output line j (last axis outermost) reads half line
+        // (at_last + j / s_mid)·m_mid + at_mid + j % s_mid and keeps
+        // the packed-axis samples [at_pa, at_pa + s_pa)
+        let (a_mid, s_mid, m_mid) = (at[st.mid as usize], shape[st.mid as usize], m[st.mid as usize]);
+        let (a, out_len) = (at[st.pa], shape[st.pa]);
+        let bins = half.as_slice();
+        let bins_of = |j: usize| {
+            let l = (a_last + j / s_mid) * m_mid + a_mid + j % s_mid;
+            &bins[l * h..(l + 1) * h]
+        };
+        let mut out = self.lease_image(shape);
+        let count = shape.len() / out_len;
+        let dst = SendPtr(out.as_mut_slice().as_mut_ptr());
+        // SAFETY: output line j is the run [j·out_len, (j+1)·out_len)
+        // of `out`, and each worker owns a disjoint range of lines.
+        let out_of = |j: usize| unsafe { dst.run(j * out_len, out_len) };
+        if len == 1 {
+            for j in 0..count {
+                out_of(j)[0] = bins_of(j)[0].re * scale;
+            }
+        } else if len.is_multiple_of(2) {
+            let hn = len / 2;
+            let plan = (hn > 1).then(|| self.plan(hn, Dir::Inv));
+            let tw = self.rtwiddle(len, Dir::Inv);
+            self.par_lines(0..count, len, &|lo, hi| {
+                // repack LINE_BATCH lines per transform call so a full
+                // group runs the Stockham batched SIMD path
+                self.scratch.with(|s| {
+                    let scratch = borrow_buf(
+                        &mut s.plan,
+                        plan.as_ref().map_or(0, |p| p.get_inplace_scratch_len()),
+                        s.home.as_ref(),
+                    );
+                    let buf = borrow_buf(&mut s.line, LINE_BATCH * hn, s.home.as_ref());
+                    let mut j = lo;
+                    while j < hi {
+                        let g = LINE_BATCH.min(hi - j);
+                        let group = &mut buf[..g * hn];
+                        for (r, line) in group.chunks_exact_mut(hn).enumerate() {
+                            let x = bins_of(j + r);
+                            for (k, b) in line.iter_mut().enumerate() {
+                                let xk = x[k];
+                                let xc = x[hn - k].conj();
+                                let ze = (xk + xc) * 0.5;
+                                let zo = (xk - xc) * 0.5 * tw[k];
+                                // z[k] = ze + i·zo repacks even/odd interleaving
+                                *b = Complex32::new(ze.re - zo.im, ze.im + zo.re);
+                            }
+                        }
+                        if let Some(p) = &plan {
+                            p.process_with_scratch(group, scratch);
+                        }
+                        for (r, line) in group.chunks_exact(hn).enumerate() {
+                            // real sample t is line[t/2].re (even t) or .im (odd t)
+                            for (t, d) in (a..).zip(out_of(j + r).iter_mut()) {
+                                let z = line[t / 2];
+                                *d = if t % 2 == 0 { z.re } else { z.im } * scale;
+                            }
+                        }
+                        j += g;
+                    }
+                });
+            });
+        } else {
+            let plan = self.plan(len, Dir::Inv);
+            self.par_lines(0..count, len, &|lo, hi| {
+                self.scratch.with(|s| {
+                    let scratch = borrow_buf(&mut s.plan, plan.get_inplace_scratch_len(), s.home.as_ref());
+                    let buf = borrow_buf(&mut s.line, len, s.home.as_ref());
+                    for j in lo..hi {
+                        let x = bins_of(j);
+                        buf[..h].copy_from_slice(x);
+                        // Hermitian reconstruction of the dropped bins
+                        for k in 1..h {
+                            buf[len - k] = x[k].conj();
+                        }
+                        plan.process_with_scratch(buf, scratch);
+                        for (d, b) in out_of(j).iter_mut().zip(&buf[a..]) {
+                            *d = b.re * scale;
+                        }
+                    }
+                });
+            });
+        }
+        out
+    }
+
+    /// Runs `work(lo, hi)` over the line range `lines` of `line_len`
+    /// elements each: serially for one worker, else split into
+    /// per-worker contiguous sub-ranges on the engine's pool. The
+    /// sub-range boundaries depend only on the worker count and the
+    /// range, and each line's arithmetic is independent of its
+    /// sub-range, so the result is identical for every worker count.
+    fn par_lines(&self, lines: Range<usize>, line_len: usize, work: &(impl Fn(usize, usize) + Sync)) {
+        let workers = self.workers_for(lines.len(), line_len);
         if workers <= 1 {
-            work(src, dst);
+            work(lines.start, lines.end);
             return;
         }
-        let per = lines.div_ceil(workers);
+        let per = lines.len().div_ceil(workers);
         self.in_scope(|sc| {
-            for (s_chunk, d_chunk) in src
-                .chunks(per * src_len)
-                .zip(dst.chunks_mut(per * dst_len))
-            {
-                sc.spawn(move |_| work(s_chunk, d_chunk));
+            for lo in lines.clone().step_by(per) {
+                let hi = (lo + per).min(lines.end);
+                sc.spawn(move |_| work(lo, hi));
             }
         });
     }
-
-    /// In-place variant of [`FftEngine::par_line_chunks`] for the c2r
-    /// unpack: the buffer is one f32 slab of `lines` slots of
-    /// `slot_len` floats each, split across workers at slot boundaries.
-    fn par_slot_chunks(
-        &self,
-        workers: usize,
-        lines: usize,
-        data: &mut [f32],
-        slot_len: usize,
-        work: &(impl Fn(&mut [f32]) + Sync),
-    ) {
-        if workers <= 1 {
-            work(data);
-            return;
-        }
-        let per = lines.div_ceil(workers);
-        self.in_scope(|sc| {
-            for chunk in data.chunks_mut(per * slot_len) {
-                sc.spawn(move |_| work(chunk));
-            }
-        });
-    }
 }
 
-/// Reinterprets a `Vec<Complex32>` as the `Vec<f32>` over the same
-/// allocation (`re`, `im` interleaved), without copying.
-fn complex_vec_into_reals(v: Vec<Complex32>) -> Vec<f32> {
-    let mut v = std::mem::ManuallyDrop::new(v);
-    let (ptr, len, cap) = (v.as_mut_ptr(), v.len(), v.capacity());
-    // SAFETY: Complex<f32> is #[repr(C)] { re: f32, im: f32 } — size 8,
-    // align 4 — so Layout::array::<f32>(2·cap) equals
-    // Layout::array::<Complex32>(cap): the allocation contract for the
-    // eventual drop/realloc is preserved, every byte of the length is
-    // initialized, and every bit pattern is a valid f32.
-    unsafe { Vec::from_raw_parts(ptr.cast::<f32>(), len * 2, cap * 2) }
+/// The stage layout of a real transform of full shape `m`.
+///
+/// The r2c forward runs the packed stage along `pa`, then c2c stages
+/// along `mid` and `last`; the c2r inverse runs them in the reverse
+/// order. `last` is the lower-numbered of the two non-packed axes, so
+/// it is the outermost index of the `mid` lines: a slab of `last`
+/// coordinates is a contiguous range of `mid` line indices. (A unit
+/// `mid` stage is skipped, so this only matters for volumes, where
+/// `mid = y` and `last = x`.)
+struct Stages {
+    pa: usize,
+    mid: Axis,
+    last: Axis,
+    /// Shape of the half-spectrum the c2c stages run on.
+    half: Vec3,
+}
+
+impl Stages {
+    fn new(m: Vec3) -> Self {
+        let pa = Spectrum::packed_axis(m);
+        let (last, mid) = match pa {
+            0 => (Axis::Y, Axis::Z),
+            1 => (Axis::X, Axis::Z),
+            _ => (Axis::X, Axis::Y),
+        };
+        Stages {
+            pa,
+            mid,
+            last,
+            half: Spectrum::half_shape(m),
+        }
+    }
+
+    /// Every line along `axis`.
+    fn all(&self, axis: Axis) -> Range<usize> {
+        0..self.half.len() / self.half[axis as usize]
+    }
+
+    /// The `mid` lines whose `last` coordinate lies in `coords`.
+    fn slab(&self, coords: Range<usize>) -> Range<usize> {
+        let per = self.half.len() / (self.half[self.mid as usize] * self.half[self.last as usize]);
+        coords.start * per..coords.end * per
+    }
+
+    /// `lines` lines along `axis`, or none when the axis is unit (its
+    /// stage is the identity and is skipped).
+    fn count(&self, axis: Axis, lines: usize) -> usize {
+        if self.half[axis as usize] == 1 {
+            0
+        } else {
+            lines
+        }
+    }
 }
 
 impl Default for FftEngine {

@@ -26,9 +26,13 @@
 //!   unpacks with one twiddle pass — ~2× fewer FLOPs on that stage. The
 //!   remaining stages are ordinary c2c line transforms over the
 //!   already-halved tensor, so they also do half the work of the c2c
-//!   pipeline. The inverse consumes its spectrum *in place*: the c2r
-//!   unpack writes each real line into the storage its complex bins
-//!   occupied and compacts, so no output buffer is allocated per call.
+//!   pipeline.
+//! * **Pruned stages.** A padded forward transform and a cropped
+//!   inverse run only the lines that matter: the forward skips the
+//!   lines of the padded volume that are known to be zero, and the
+//!   inverse skips the lines whose results the crop would discard. One
+//!   r2c routine and one c2r routine serve both the full-box
+//!   (`rfft3`/`irfft3`) and the padded/cropped forms.
 //! * **Padding discipline.** Transform shapes come from
 //!   [`good_shape`]: 5-smooth per axis, and *even* on the packed axis
 //!   ([`good_size_even`]) so the packed stage always applies and the

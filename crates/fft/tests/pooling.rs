@@ -14,9 +14,8 @@
 //!    footprint stops growing (the paper's "memory usage peaks after
 //!    the first few rounds" property).
 //! 3. **Conservation** — everything leased comes back: after all
-//!    produced tensors drop, the pool counts zero bytes in use, even
-//!    though `irfft3` migrates its buffer from the complex to the real
-//!    personality in place.
+//!    produced tensors drop, the pool counts zero bytes in use, and a
+//!    buffer the pool never leased never enters its accounting.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -193,23 +192,32 @@ fn pooled_engine_shares_plans_and_pools_across_threads() {
 #[test]
 fn foreign_spectra_are_not_adopted_into_the_pool() {
     // a spectrum whose buffer the pool never leased (here: produced by
-    // an unpooled engine) must not be adopted on the irfft3 in-place
-    // path — recycling never-leased bytes would corrupt the pool's
-    // bytes_in_use accounting and under-report the real footprint
+    // an unpooled engine) is consumed by the pooled engine's irfft3:
+    // its storage must drop plainly, never join the pool — recycling
+    // never-leased bytes would corrupt the pool's bytes_in_use
+    // accounting and grow its resident footprint
     let pools = PoolSet::new();
     let engine = FftEngine::with_threads(1).with_buffer_pools(Arc::clone(&pools));
     let img = ops::random(Vec3::cube(6), 51);
-    // warm up so the scratch-slot leases are already counted
+    // warm up so the scratch-slot leases and the output class are
+    // already counted
     drop(engine.irfft3(engine.rfft3(&img)));
     let in_use = pools.stats().bytes_in_use();
+    let resident = pools.resident_bytes();
     let foreign = FftEngine::with_threads(1).rfft3(&img);
+    assert!(foreign.half().home().is_none());
     let back = engine.irfft3(foreign);
-    assert!(back.home().is_none(), "foreign buffer was adopted");
+    assert!(back.max_abs_diff(&img) < 1e-5);
     drop(back);
     assert_eq!(
         pools.stats().bytes_in_use(),
         in_use,
         "pool accounting drifted on a foreign spectrum"
+    );
+    assert_eq!(
+        pools.resident_bytes(),
+        resident,
+        "a foreign spectrum's buffer was adopted into the pool"
     );
 }
 
@@ -239,7 +247,7 @@ proptest! {
         // clone, recycle the original, re-lease its chunk: the clone
         // must still hold the exact bits
         let keep = b.clone();
-        let back = pooled.irfft3(b); // consumes + recycles in place
+        let back = pooled.irfft3(b); // consumes + recycles the spectrum
         prop_assert!(max_cdiff_bits(&a, &keep), "clone lost bits on {shape}");
         let back_raw = raw.irfft3(a);
         prop_assert!(bits_equal(&back_raw, &back), "inverse drift on {shape}");

@@ -12,13 +12,20 @@
 //!    computation.
 //! 3. **Executing** — the subtask is attached to the running update;
 //!    whichever thread finishes the update executes the subtask next.
-//!    The forcing thread returns and picks up other work.
+//!    The forcing thread returns and picks up other work. A second
+//!    FORCE during the same execution chains its subtask after the
+//!    first, so attached subtasks run in FORCE order and none is lost.
+//!
+//! Readers that must observe the finished update *without* running a
+//! subtask — parameter snapshots, checkpoints — FORCE a no-op and then
+//! block in [`UpdateHandle::wait_idle`], which sleeps on a condition
+//! variable signalled when the update finishes.
 //!
 //! Claiming instead of physically deleting the queue entry keeps the
 //! queue free of random-access removal; a claimed entry is skipped in
 //! O(1) when popped.
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,8 +39,8 @@ enum State {
     Idle,
     /// Scheduled, waiting in the queue.
     Queued(Work),
-    /// Some thread is running the update; a forced subtask may be
-    /// parked here.
+    /// Some thread is running the update; forced subtasks are parked
+    /// here, chained in FORCE order.
     Executing { attached: Option<Work> },
 }
 
@@ -57,6 +64,8 @@ pub struct UpdateHandle {
 
 struct Inner {
     state: Mutex<State>,
+    /// Signalled whenever the state returns to `Idle`.
+    idle: Condvar,
     stats: ForceStats,
 }
 
@@ -66,6 +75,7 @@ impl UpdateHandle {
         UpdateHandle {
             inner: Arc::new(Inner {
                 state: Mutex::new(State::Idle),
+                idle: Condvar::new(),
                 stats: ForceStats::default(),
             }),
         }
@@ -132,10 +142,18 @@ impl UpdateHandle {
                     self.inner.stats.ran_inline.fetch_add(1, Ordering::Relaxed);
                     Some(work)
                 }
-                State::Executing { .. } => {
-                    // case 3: park the subtask with the running update
+                State::Executing { attached } => {
+                    // case 3: park the subtask with the running update,
+                    // after any subtask an earlier FORCE parked there
+                    let attached: Work = match attached {
+                        Some(prev) => Box::new(move || {
+                            prev();
+                            subtask();
+                        }),
+                        None => subtask,
+                    };
                     *st = State::Executing {
-                        attached: Some(subtask),
+                        attached: Some(attached),
                     };
                     self.inner.stats.delegated.fetch_add(1, Ordering::Relaxed);
                     return;
@@ -149,8 +167,9 @@ impl UpdateHandle {
         subtask();
     }
 
-    /// Completes an execution: flips back to Idle and runs any subtask
-    /// that was attached while the update ran (Algorithm 3 lines 3–6).
+    /// Completes an execution: flips back to Idle, wakes every
+    /// [`UpdateHandle::wait_idle`] caller, and runs any subtask that was
+    /// attached while the update ran (Algorithm 3 lines 3–6).
     fn finish(&self) {
         let attached = {
             let mut st = self.inner.state.lock();
@@ -159,6 +178,7 @@ impl UpdateHandle {
                 _ => unreachable!("finish() without a running update"),
             }
         };
+        self.inner.idle.notify_all();
         if let Some(sub) = attached {
             sub();
         }
@@ -167,6 +187,18 @@ impl UpdateHandle {
     /// True when no update is pending or running.
     pub fn is_idle(&self) -> bool {
         matches!(*self.inner.state.lock(), State::Idle)
+    }
+
+    /// Blocks until no update is running: returns at once when the
+    /// handle is `Idle`, else sleeps until the thread executing the
+    /// update finishes it. A `Queued` update is not run here — FORCE
+    /// it first. The update's writes happen before the handle turns
+    /// `Idle`, so they are visible once this returns.
+    pub fn wait_idle(&self) {
+        let mut st = self.inner.state.lock();
+        while !matches!(*st, State::Idle) {
+            self.inner.idle.wait(&mut st);
+        }
     }
 
     /// FORCE outcome counters.
@@ -274,6 +306,68 @@ mod tests {
         release.count_down();
         runner.join().unwrap();
         assert_eq!(*log.lock(), vec!["update", "forward"]);
+    }
+
+    #[test]
+    fn two_forces_during_one_execution_chain_in_order() {
+        let h = UpdateHandle::new();
+        let entered = Arc::new(Latch::new(1));
+        let release = Arc::new(Latch::new(1));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        {
+            let entered = Arc::clone(&entered);
+            let release = Arc::clone(&release);
+            let log = Arc::clone(&log);
+            h.arm(Box::new(move || {
+                entered.count_down();
+                release.wait();
+                log.lock().push("update");
+            }));
+        }
+        let runner = {
+            let h = h.clone();
+            std::thread::spawn(move || h.queue_entry()())
+        };
+        entered.wait();
+        for name in ["first", "second"] {
+            let log = Arc::clone(&log);
+            h.force(Box::new(move || log.lock().push(name)));
+        }
+        assert!(log.lock().is_empty(), "a subtask ran before the update finished");
+        assert_eq!(h.stats().delegated.load(Ordering::SeqCst), 2);
+        release.count_down();
+        runner.join().unwrap();
+        assert_eq!(*log.lock(), vec!["update", "first", "second"]);
+        assert!(h.is_idle());
+    }
+
+    #[test]
+    fn wait_idle_blocks_until_a_running_update_finishes() {
+        let h = UpdateHandle::new();
+        let entered = Arc::new(Latch::new(1));
+        let done = Arc::new(AtomicUsize::new(0));
+        {
+            let entered = Arc::clone(&entered);
+            let done = Arc::clone(&done);
+            h.arm(Box::new(move || {
+                entered.count_down();
+                // widens the window in which wait_idle must block; the
+                // assertion below holds under every interleaving
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                done.store(1, Ordering::SeqCst);
+            }));
+        }
+        let runner = {
+            let h = h.clone();
+            std::thread::spawn(move || h.queue_entry()())
+        };
+        entered.wait();
+        h.force(Box::new(|| {}));
+        h.wait_idle();
+        assert_eq!(done.load(Ordering::SeqCst), 1, "wait_idle returned mid-update");
+        runner.join().unwrap();
+        // an idle handle returns at once
+        h.wait_idle();
     }
 
     #[test]

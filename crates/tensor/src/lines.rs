@@ -25,8 +25,12 @@ impl Axis {
 
 /// Description of the lines along `axis` in a tensor of shape `shape`:
 /// how many lines there are, their length, the element stride within a
-/// line, and an iterator of line start offsets.
-#[derive(Clone, Debug)]
+/// line, and where each line starts.
+///
+/// Lines are numbered with the slower of the two other axes outermost.
+/// Start offsets are computed from the two outer strides on demand, so
+/// building a `LineSpec` allocates nothing.
+#[derive(Clone, Copy, Debug)]
 pub struct LineSpec {
     /// Number of 1D lines along this axis (product of the other extents).
     pub count: usize,
@@ -34,7 +38,10 @@ pub struct LineSpec {
     pub len: usize,
     /// Linear stride between consecutive elements of a line.
     pub stride: usize,
-    starts: Vec<usize>,
+    /// Extent of the faster of the two other axes.
+    inner: usize,
+    /// Linear strides of the slower and the faster other axis.
+    outer_strides: [usize; 2],
 }
 
 impl LineSpec {
@@ -47,23 +54,20 @@ impl LineSpec {
             Axis::Y => (0, 2),
             Axis::Z => (0, 1),
         };
-        let mut starts = Vec::with_capacity(shape[o1] * shape[o2]);
-        for i in 0..shape[o1] {
-            for j in 0..shape[o2] {
-                starts.push(i * strides[o1] + j * strides[o2]);
-            }
-        }
         LineSpec {
-            count: starts.len(),
+            count: shape[o1] * shape[o2],
             len: shape[a],
             stride: strides[a],
-            starts,
+            inner: shape[o2],
+            outer_strides: [strides[o1], strides[o2]],
         }
     }
 
-    /// Start offsets of every line, in a deterministic order.
-    pub fn starts(&self) -> &[usize] {
-        &self.starts
+    /// Linear offset of the first element of line `idx`.
+    #[inline]
+    pub fn start(&self, idx: usize) -> usize {
+        debug_assert!(idx < self.count);
+        (idx / self.inner) * self.outer_strides[0] + (idx % self.inner) * self.outer_strides[1]
     }
 
     /// Copies line `idx` of `src` into `buf` (which must have length
@@ -71,7 +75,7 @@ impl LineSpec {
     pub fn read_line<T: Copy>(&self, src: &Tensor3<T>, idx: usize, buf: &mut [T]) {
         debug_assert_eq!(buf.len(), self.len);
         let data = src.as_slice();
-        let mut p = self.starts[idx];
+        let mut p = self.start(idx);
         for b in buf.iter_mut() {
             *b = data[p];
             p += self.stride;
@@ -82,7 +86,7 @@ impl LineSpec {
     pub fn write_line<T: Copy>(&self, dst: &mut Tensor3<T>, idx: usize, buf: &[T]) {
         debug_assert_eq!(buf.len(), self.len);
         let data = dst.as_mut_slice();
-        let mut p = self.starts[idx];
+        let mut p = self.start(idx);
         for b in buf {
             data[p] = *b;
             p += self.stride;
@@ -143,8 +147,8 @@ mod tests {
         for axis in Axis::ALL {
             let spec = LineSpec::new(s, axis);
             let mut seen = vec![false; s.len()];
-            for &start in spec.starts() {
-                let mut p = start;
+            for i in 0..spec.count {
+                let mut p = spec.start(i);
                 for _ in 0..spec.len {
                     assert!(!seen[p], "offset {p} visited twice on {axis:?}");
                     seen[p] = true;

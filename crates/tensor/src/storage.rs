@@ -22,9 +22,7 @@
 //! `spectrum.clone()`-then-multiply (the frequency-domain convolution
 //! kernel) stay allocation-free in the steady state. Conversions that
 //! take the raw `Vec` out ([`Tensor3::into_vec`](crate::Tensor3::into_vec))
-//! detach the buffer from its source; the caller owns it outright and
-//! may re-attach it (or another) with
-//! [`Tensor3::with_home`](crate::Tensor3::with_home).
+//! detach the buffer from its source; the caller owns it outright.
 
 use std::mem::ManuallyDrop;
 use std::sync::Arc;
@@ -81,23 +79,13 @@ impl<T> Storage<T> {
         }
     }
 
-    /// Adopts an owned buffer into `home`'s custody: it will be
-    /// recycled there on drop, exactly as if it had been leased.
-    pub fn adopted(data: Vec<T>, home: Arc<dyn BufferSource<T>>) -> Self {
-        Storage {
-            data: ManuallyDrop::new(data),
-            home: Some(home),
-        }
-    }
-
     /// The source this buffer returns to on drop, if any.
     pub fn home(&self) -> Option<&Arc<dyn BufferSource<T>>> {
         self.home.as_ref()
     }
 
     /// Consumes the storage, returning the raw buffer. The buffer
-    /// leaves its source's custody — it will be freed normally unless
-    /// re-adopted.
+    /// leaves its source's custody — it will be freed normally.
     pub fn into_vec(mut self) -> Vec<T> {
         self.home = None;
         // SAFETY: `self` is forgotten right after, so `Drop` never runs
@@ -247,10 +235,8 @@ mod tests {
         let s = Storage::leased(stash.clone() as Arc<dyn BufferSource<f32>>, 4);
         let v = s.into_vec();
         assert_eq!(v.len(), 4);
+        drop(v);
         assert_eq!(stash.returned.lock().unwrap().len(), 0);
-        // re-adoption restores custody
-        drop(Storage::adopted(v, stash.clone() as Arc<dyn BufferSource<f32>>));
-        assert_eq!(stash.returned.lock().unwrap().len(), 1);
     }
 
     #[test]

@@ -71,19 +71,6 @@ impl<T: Copy> Tensor3<T> {
         }
     }
 
-    /// Places this tensor's buffer in `home`'s custody: on drop it is
-    /// recycled there, exactly as if it had been leased. Used where a
-    /// buffer changes element type mid-pipeline (the in-place c2r
-    /// transform reinterprets a complex buffer as reals) and must
-    /// rejoin the pool under its new type.
-    pub fn with_home(self, home: Arc<dyn BufferSource<T>>) -> Self {
-        let shape = self.shape;
-        Tensor3 {
-            shape,
-            data: Storage::adopted(self.into_vec(), home),
-        }
-    }
-
     /// The [`BufferSource`] this tensor's buffer returns to on drop, if
     /// it is pooled.
     pub fn home(&self) -> Option<&Arc<dyn BufferSource<T>>> {
@@ -134,8 +121,7 @@ impl<T: Copy> Tensor3<T> {
     }
 
     /// Consumes the tensor, returning its buffer. A pooled buffer
-    /// leaves its source's custody (it will be freed normally unless
-    /// re-adopted with [`Tensor3::with_home`]).
+    /// leaves its source's custody (it will be freed normally).
     #[inline]
     pub fn into_vec(self) -> Vec<T> {
         self.data.into_vec()
