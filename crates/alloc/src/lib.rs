@@ -10,7 +10,7 @@
 //! after a few training rounds and stays flat (at a worst-case ≈2×
 //! overhead).
 //!
-//! This crate reproduces that design at three levels:
+//! This crate reproduces that design at two levels:
 //!
 //! * [`PoolSet`] — **what the training engine uses.** One shared,
 //!   lock-free chunk pool wearing two `znn_tensor::BufferSource` faces
@@ -26,31 +26,19 @@
 //!   [`SegQueue`](crossbeam_queue::SegQueue)) recycling pools the
 //!   `PoolSet` is built from, also usable directly with explicit
 //!   `get`/`put`.
-//! * [`PooledAlloc`] — a real [`std::alloc::GlobalAlloc`] with the
-//!   paper's exact pool structure, usable as `#[global_allocator]`. Its
-//!   free lists are *intrusive* (the freed chunk stores the next
-//!   pointer), so the allocator never allocates on its own behalf; each
-//!   size class is guarded by a spin lock rather than the paper's
-//!   lock-free queue because a lock-free queue would itself need to
-//!   allocate nodes. The observable behaviour — O(1) recycle,
-//!   power-of-2 classes, never shrinking — is identical.
 //!
-//! All report [`PoolStats`] — hits, misses, resident and churn bytes —
+//! Both report [`PoolStats`] — hits, misses, resident and churn bytes —
 //! so the §IX-B memory experiments (and `RoundStats` / `BENCH_fft.json`
 //! telemetry) can account for working-set size and allocation traffic.
 
 #![warn(missing_docs)]
 
 mod class;
-mod global;
-mod local;
 mod pool;
 mod set;
 mod stats;
 
 pub use class::{class_of, size_of_class, CLASS_COUNT};
-pub use global::PooledAlloc;
-pub use local::LocalCache;
 pub use pool::{BufferPool, ClassReport, ImagePool};
 pub use set::{lease_cimage, lease_image, PoolSet};
 pub use stats::PoolStats;

@@ -1,5 +1,5 @@
 //! Direct vs FFT convolution across kernel sizes — the microbenchmark
-//! behind the §IV autotuner and the Fig 8/9 crossovers.
+//! behind the §IV per-layer method choice and the Fig 8/9 crossovers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

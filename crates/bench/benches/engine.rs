@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use znn_core::{ConvPolicy, TrainConfig, Znn};
+use znn_core::{PlanPolicy, TrainConfig, Znn};
 use znn_graph::builder::scalability_net_3d;
+use znn_ops::ConvMethod;
 use znn_sched::QueuePolicy;
 use znn_tensor::{ops, Vec3};
 
@@ -16,15 +17,15 @@ fn bench_engine(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(800));
     let out = Vec3::cube(4);
-    for (name, conv, memoize) in [
-        ("direct", ConvPolicy::ForceDirect, false),
-        ("fft", ConvPolicy::ForceFft, false),
-        ("fft_memoized", ConvPolicy::ForceFft, true),
+    for (name, method, memoize) in [
+        ("direct", ConvMethod::Direct, false),
+        ("fft", ConvMethod::Fft, false),
+        ("fft_memoized", ConvMethod::Fft, true),
     ] {
         let (g, _) = scalability_net_3d(4);
         let cfg = TrainConfig {
             workers: 2,
-            conv,
+            plan: Some(PlanPolicy::Force(method)),
             memoize_fft: memoize,
             ..Default::default()
         };
@@ -49,7 +50,7 @@ fn bench_engine(c: &mut Criterion) {
         let cfg = TrainConfig {
             workers: 2,
             queue: policy,
-            conv: ConvPolicy::ForceDirect,
+            plan: Some(PlanPolicy::Force(ConvMethod::Direct)),
             ..Default::default()
         };
         let znn = Znn::new(g, out, cfg).unwrap();

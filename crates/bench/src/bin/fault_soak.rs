@@ -30,12 +30,12 @@ use std::time::Instant;
 use znn_alloc::PoolSet;
 use znn_bench::{fmt, header, row, time_per_round};
 use znn_core::{
-    latest_valid, Checkpoint, CheckpointConfig, ConvPolicy, RandomDataset, TrainConfig,
+    latest_valid, Checkpoint, CheckpointConfig, PlanPolicy, RandomDataset, TrainConfig,
     TrainOutcome, Trainer, Znn,
 };
 use znn_fault::{FaultKind, FaultPlan};
 use znn_graph::NetBuilder;
-use znn_ops::Transfer;
+use znn_ops::{ConvMethod, Transfer};
 use znn_tensor::Vec3;
 
 struct FaultRecord {
@@ -72,7 +72,7 @@ impl Soak {
         let cfg = TrainConfig {
             workers: 2,
             momentum: 0.9,
-            conv: ConvPolicy::ForceDirect,
+            plan: Some(PlanPolicy::Force(ConvMethod::Direct)),
             memoize_fft: false,
             pools,
             checkpoint,

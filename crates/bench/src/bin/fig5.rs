@@ -78,7 +78,8 @@ fn main() {
 /// the paper's hardware runs. On a single-core host this necessarily
 /// prints ~1x for every worker count.
 fn host_measurement() {
-    use znn_core::{ConvPolicy, TrainConfig, Znn};
+    use znn_core::{PlanPolicy, TrainConfig, Znn};
+    use znn_ops::ConvMethod;
     use znn_tensor::ops;
     println!("\n# Host measurement (real engine, real threads)\n");
     let max = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -90,7 +91,7 @@ fn host_measurement() {
         for workers in [1usize, 2, 4, max].into_iter().filter(|&x| x <= max) {
             let cfg = TrainConfig {
                 workers,
-                conv: ConvPolicy::ForceDirect,
+                plan: Some(PlanPolicy::Force(ConvMethod::Direct)),
                 ..TrainConfig::test_default(workers)
             };
             let znn = Znn::new(g.clone(), out, cfg).unwrap();

@@ -7,9 +7,9 @@
 
 use znn_baseline::LayerwiseNet;
 use znn_bench::{fmt, header, row, time_per_round};
-use znn_core::{ConvPolicy, TrainConfig, Znn};
+use znn_core::{PlanPolicy, TrainConfig, Znn};
 use znn_graph::builder::comparison_net;
-use znn_ops::Loss;
+use znn_ops::{ConvMethod, Loss};
 use znn_tensor::{ops, Vec3};
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
             let (g_sparse, _) = comparison_net(width, kernel, pool, true);
             let cfg = TrainConfig {
                 workers,
-                conv: ConvPolicy::ForceFft,
+                plan: Some(PlanPolicy::Force(ConvMethod::Fft)),
                 memoize_fft: true,
                 ..Default::default()
             };

@@ -6,8 +6,9 @@
 
 use znn_alloc::{ImagePool, PoolSet};
 use znn_bench::{fmt, header, row, time_per_round};
-use znn_core::{ConvPolicy, TrainConfig, Znn};
+use znn_core::{PlanPolicy, TrainConfig, Znn};
 use znn_graph::builder::comparison_net;
+use znn_ops::ConvMethod;
 use znn_tensor::{ops, Vec3};
 
 fn main() {
@@ -35,7 +36,7 @@ fn main() {
         let (g, _) = comparison_net(2, Vec3::cube(3), Vec3::cube(2), true);
         let cfg = TrainConfig {
             workers: 2,
-            conv: ConvPolicy::ForceFft,
+            plan: Some(PlanPolicy::Force(ConvMethod::Fft)),
             memoize_fft: true,
             pools: Some(std::sync::Arc::clone(&pools)),
             ..Default::default()
@@ -82,7 +83,7 @@ fn main() {
         let (g, _) = comparison_net(3, kernel, Vec3::cube(2), true);
         let cfg = TrainConfig {
             workers: 2,
-            conv: ConvPolicy::ForceFft,
+            plan: Some(PlanPolicy::Force(ConvMethod::Fft)),
             memoize_fft: memoize,
             ..Default::default()
         };

@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use znn_core::{ConvPolicy, PlanPolicy, TrainConfig, Znn};
+use znn_core::{PlanPolicy, TrainConfig, Znn};
 use znn_graph::builder::{comparison_net, scalability_net_2d, scalability_net_3d};
 use znn_graph::{EdgeOp, Graph};
 use znn_ops::ConvMethod;
@@ -94,7 +94,6 @@ fn median_round_us(znn: &Znn, out: Vec3, warmup: usize, rounds: usize, seed: u64
 fn config(workers: usize, plan: PlanPolicy) -> TrainConfig {
     TrainConfig {
         workers,
-        conv: ConvPolicy::Autotune,
         plan: Some(plan),
         ..Default::default()
     }

@@ -13,8 +13,9 @@
 
 use std::fmt::Write as _;
 use znn_bench::{fmt, header, row, time_per_round};
-use znn_core::{ConvPolicy, TrainConfig, Znn};
+use znn_core::{PlanPolicy, TrainConfig, Znn};
 use znn_graph::builder::{scalability_net_2d, scalability_net_3d};
+use znn_ops::ConvMethod;
 use znn_sched::QueuePolicy;
 use znn_sim::costs::task_costs;
 use znn_sim::{simulate, Machine, SimConfig};
@@ -92,7 +93,7 @@ fn main() {
         let cfg = TrainConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             queue: policy,
-            conv: ConvPolicy::ForceDirect,
+            plan: Some(PlanPolicy::Force(ConvMethod::Direct)),
             ..Default::default()
         };
         let znn = Znn::new(g.clone(), Vec3::cube(4), cfg).unwrap();

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use znn_alloc::PoolSet;
 use znn_bench::{fmt, header, row};
-use znn_core::{ConvPolicy, DenseConfig, DenseNet};
+use znn_core::{DenseConfig, DenseNet};
 use znn_fault::{FaultKind, FaultPlan};
 use znn_graph::NetBuilder;
 use znn_ops::Transfer;
@@ -55,7 +55,6 @@ fn dense_net(pools: Arc<PoolSet>) -> Arc<DenseNet> {
         .build()
         .expect("soak net builds");
     let cfg = DenseConfig {
-        conv: ConvPolicy::Autotune,
         pools: Some(pools),
         ..DenseConfig::default()
     };
@@ -150,7 +149,7 @@ fn main() {
         );
         let reps = if smoke { 24 } else { 150 };
         for _ in 0..3 {
-            serve_one(&server, &input); // warm workers + conv autotune
+            serve_one(&server, &input); // warm workers + conv choices
         }
         let start = Instant::now();
         let mut lat: Vec<f64> = (0..reps).map(|_| serve_one(&server, &input)).collect();

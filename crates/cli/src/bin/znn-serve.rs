@@ -14,7 +14,9 @@
 //! optional per-request deadlines (`--deadline-ms`), and an optional
 //! degradation ladder (`--degrade` queue depth at which workers halve
 //! their batch/block sizes before any load is shed). `--rate` paces
-//! arrivals per second (0 = as fast as possible).
+//! arrivals per second (0 = as fast as possible). Each conv
+//! geometry's direct-vs-FFT choice is priced by the host cost model
+//! (`znn-plan`) when the net warms up.
 //!
 //! At exit it prints p50/p99 service latency, the server's stats
 //! report (submitted/shed/deadline-missed counts and the queue-depth
@@ -56,15 +58,13 @@ struct Args {
     degrade: Option<usize>,
     deadline: Option<Duration>,
     pool_report: bool,
-    plan: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: znn-serve [--spec FILE] [--in Z,Y,X] [--requests N] [--rate R]\n\
          \t[--workers N] [--queue N] [--watermark N] [--batch N]\n\
-         \t[--block Z,Y,X] [--degrade N] [--deadline-ms N] [--pool-report]\n\
-         \t[--plan auto|off]"
+         \t[--block Z,Y,X] [--degrade N] [--deadline-ms N] [--pool-report]"
     );
     std::process::exit(2)
 }
@@ -98,7 +98,6 @@ fn parse_args() -> Args {
         degrade: None,
         deadline: None,
         pool_report: false,
-        plan: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -120,11 +119,6 @@ fn parse_args() -> Args {
                 ))
             }
             "--pool-report" => args.pool_report = true,
-            "--plan" => match val().as_str() {
-                "auto" => args.plan = true,
-                "off" => args.plan = false,
-                _ => usage(),
-            },
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -163,15 +157,9 @@ fn main() -> ExitCode {
         graph.parameter_count()
     );
 
-    // --plan auto: price serving-side direct-vs-FFT choices through the
-    // cost model instead of timing each geometry on first use
-    let dense_cfg = DenseConfig {
-        planner: args.plan.then(|| {
-            Arc::new(znn_plan::Planner::new(znn_plan::PlanConfig::host()))
-        }),
-        ..DenseConfig::default()
-    };
-    let net = match DenseNet::new(graph, 42, dense_cfg) {
+    // the default config prices each geometry's direct-vs-FFT choice
+    // through the host cost model on first use
+    let net = match DenseNet::new(graph, 42, DenseConfig::default()) {
         Ok(n) => Arc::new(n),
         Err(e) => {
             eprintln!("cannot size network: {e}");

@@ -3,8 +3,7 @@
 //!
 //! ```sh
 //! znn-train --spec net.znn --out 8 --rounds 50 --lr 0.01 \
-//!           [--workers N] [--fft-threads N] [--plan auto|off] \
-//!           [--fft|--direct] \
+//!           [--workers N] [--fft-threads N] [--fft|--direct] \
 //!           [--no-memoize] [--no-pool] [--stealing] [--pool-report] \
 //!           [--checkpoint-dir D] [--checkpoint-every N] [--resume]
 //! ```
@@ -13,12 +12,13 @@
 //! transforms share the scheduler's worker budget (idle workers donate
 //! themselves to FFT line chunks).
 //!
-//! `--plan auto` enables the `znn-plan` cost-model planner: per conv
-//! edge it picks direct vs FFT, the pad shape, and the FFT fan-out by
-//! pricing the theory FLOP model through a detected machine model,
-//! then calibrates that model online from measured round times
-//! (re-plans move only the bit-safe fan-out). The chosen plan and the
-//! calibration summary are printed. A plan overrides `--fft`/`--direct`.
+//! Training is always planned. By default the `znn-plan` cost-model
+//! planner picks, per conv edge, direct vs FFT, the pad shape, and the
+//! FFT fan-out by pricing the theory FLOP model through a detected
+//! machine model, then calibrates that model online from measured
+//! round times (re-plans move only the bit-safe fan-out). `--fft` /
+//! `--direct` force one method on every conv edge instead. The chosen
+//! plan and the calibration summary are printed on every run.
 //!
 //! `--no-pool` disables the §VII-C pooled allocator (hot-path buffers
 //! fall back to plain `Vec`s); by default every image/spectrum buffer
@@ -37,12 +37,14 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 use znn_cli::parse_spec;
 use znn_core::{
-    BlobsDataset, CheckpointConfig, ConvPolicy, LrSchedule, PlanPolicy, TrainConfig, TrainOutcome,
-    Trainer, Znn,
+    BlobsDataset, CheckpointConfig, LrSchedule, PlanPolicy, TrainConfig, TrainOutcome, Trainer,
+    Znn,
 };
-use znn_ops::Loss;
+use znn_ops::{ConvMethod, Loss};
+use znn_plan::{PlanConfig, Planner};
 use znn_tensor::Vec3;
 
 const DEMO_SPEC: &str = "
@@ -63,8 +65,8 @@ struct Args {
     lr: f32,
     workers: Option<usize>,
     fft_threads: Option<usize>,
-    plan: bool,
-    conv: ConvPolicy,
+    /// Method forced by `--fft` / `--direct`; `None` plans per edge.
+    method: Option<ConvMethod>,
     memoize: bool,
     stealing: bool,
     pool: bool,
@@ -77,7 +79,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: znn-train [--spec FILE] [--out N] [--rounds N] [--lr F]\n\
-         \t[--workers N] [--fft-threads N] [--plan auto|off] [--fft|--direct]\n\
+         \t[--workers N] [--fft-threads N] [--fft|--direct]\n\
          \t[--no-memoize] [--no-pool] [--stealing] [--pool-report]\n\
          \t[--checkpoint-dir D] [--checkpoint-every N] [--resume]"
     );
@@ -92,8 +94,7 @@ fn parse_args() -> Args {
         lr: 0.01,
         workers: None,
         fft_threads: None,
-        plan: false,
-        conv: ConvPolicy::Autotune,
+        method: None,
         memoize: true,
         stealing: false,
         pool: true,
@@ -114,13 +115,8 @@ fn parse_args() -> Args {
             "--fft-threads" => {
                 args.fft_threads = Some(val().parse().unwrap_or_else(|_| usage()))
             }
-            "--plan" => match val().as_str() {
-                "auto" => args.plan = true,
-                "off" => args.plan = false,
-                _ => usage(),
-            },
-            "--fft" => args.conv = ConvPolicy::ForceFft,
-            "--direct" => args.conv = ConvPolicy::ForceDirect,
+            "--fft" => args.method = Some(ConvMethod::Fft),
+            "--direct" => args.method = Some(ConvMethod::Direct),
             "--no-memoize" => args.memoize = false,
             "--no-pool" => args.pool = false,
             "--stealing" => args.stealing = true,
@@ -174,25 +170,29 @@ fn main() -> ExitCode {
         }
         cc
     });
-    let planner = args.plan.then(|| {
-        let p = std::sync::Arc::new(znn_plan::Planner::new(znn_plan::PlanConfig::host()));
-        let m = &p.config().machine;
-        println!(
-            "planner: machine prior {} ({} cores, {:.1} GFLOP/s, {:.1} GB/s)",
-            m.name, m.cores, m.gflops, m.bandwidth_gbs
-        );
-        p
-    });
+    let (plan, planner) = match args.method {
+        Some(m) => (PlanPolicy::Force(m), None),
+        None => {
+            // the planner must price the memoization the engine uses
+            let p = Arc::new(Planner::new(PlanConfig {
+                memoize_fft: args.memoize,
+                ..PlanConfig::host()
+            }));
+            let m = &p.config().machine;
+            println!(
+                "planner: machine prior {} ({} cores, {:.1} GFLOP/s, {:.1} GB/s)",
+                m.name, m.cores, m.gflops, m.bandwidth_gbs
+            );
+            (PlanPolicy::Auto(Arc::clone(&p)), Some(p))
+        }
+    };
     let cfg = TrainConfig {
         workers: args.workers.unwrap_or_else(|| {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         }),
         fft_threads: args.fft_threads,
-        plan: planner
-            .as_ref()
-            .map(|p| PlanPolicy::Auto(std::sync::Arc::clone(p))),
+        plan: Some(plan),
         learning_rate: args.lr,
-        conv: args.conv,
         memoize_fft: args.memoize,
         work_stealing: args.stealing,
         loss: Loss::Mse,
@@ -209,19 +209,18 @@ fn main() -> ExitCode {
         }
     };
     println!("input {} -> output {out_shape}", znn.input_shape());
-    if let Some(plan) = znn.net_plan() {
-        let (direct, fft) = plan.edges.iter().flatten().fold((0, 0), |(d, f), ep| {
-            match ep.method {
-                znn_ops::ConvMethod::Direct => (d + 1, f),
-                znn_ops::ConvMethod::Fft => (d, f + 1),
-            }
-        });
-        println!(
-            "plan: {direct} direct / {fft} FFT conv edges, fft_threads {}, \
-             predicted round {:.0}µs",
-            plan.fft_threads, plan.predicted_round_us
-        );
-    }
+    let plan = znn.net_plan().expect("every engine is planned");
+    let (direct, fft) = plan.edges.iter().flatten().fold((0, 0), |(d, f), ep| {
+        match ep.method {
+            ConvMethod::Direct => (d + 1, f),
+            ConvMethod::Fft => (d, f + 1),
+        }
+    });
+    println!(
+        "plan: {direct} direct / {fft} FFT conv edges, fft_threads {}, \
+         predicted round {:.0}µs",
+        plan.fft_threads, plan.predicted_round_us
+    );
 
     let data = BlobsDataset {
         input_shape: znn.input_shape(),
@@ -280,18 +279,21 @@ fn main() -> ExitCode {
             stats.alloc_leased_bytes
         );
     }
-    if let Some(planner) = &planner {
-        let cal = planner.calibration();
-        if let Some(last) = cal.rounds.last() {
-            println!(
-                "planner calibration: scale {:.2} after {} rounds ({} re-plans), \
-                 last round predicted {:.0}µs / measured {:.0}µs",
-                cal.scale,
-                cal.rounds.len(),
-                cal.replans,
-                last.predicted_us,
-                last.measured_us
-            );
+    match &planner {
+        None => println!("planner calibration: none (method forced)"),
+        Some(planner) => {
+            let cal = planner.calibration();
+            if let Some(last) = cal.rounds.last() {
+                println!(
+                    "planner calibration: scale {:.2} after {} rounds ({} re-plans), \
+                     last round predicted {:.0}µs / measured {:.0}µs",
+                    cal.scale,
+                    cal.rounds.len(),
+                    cal.replans,
+                    last.predicted_us,
+                    last.measured_us
+                );
+            }
         }
     }
     if args.pool_report {

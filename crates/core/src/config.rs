@@ -4,7 +4,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use znn_alloc::PoolSet;
 use znn_fault::FaultPlan;
-use znn_ops::Loss;
+use znn_ops::{ConvMethod, Loss};
 use znn_sched::QueuePolicy;
 
 /// Where and how often training snapshots its state to disk.
@@ -63,28 +63,10 @@ impl Default for HealthPolicy {
     }
 }
 
-/// How the engine chooses between direct and FFT convolution (§IV).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ConvPolicy {
-    /// Time both per distinct layer geometry and keep the winner — the
-    /// paper's layerwise autotuning.
-    #[default]
-    Autotune,
-    /// Always direct convolution.
-    ForceDirect,
-    /// Always FFT convolution.
-    ForceFft,
-}
-
-/// How the engine obtains its execution plan (method, pad, fan-out
-/// per conv edge) when cost-model planning is enabled
-/// ([`TrainConfig::plan`]).
-///
-/// A plan *overrides* [`ConvPolicy`]: with a plan present the
-/// per-edge methods and pads come from the plan and `conv` is
-/// ignored. Without one (`plan: None`, the default) the engine keeps
-/// its legacy behaviour — `ConvPolicy` methods, `good_shape` pads,
-/// the configured `fft_threads` fan-out.
+/// How the engine obtains its execution plan: the method and pad of
+/// every conv edge, and the FFT fan-out ([`TrainConfig::plan`]).
+/// Every run is planned; `plan: None` means [`PlanPolicy::Auto`] with
+/// a planner the engine builds itself from the host machine model.
 #[derive(Clone, Debug)]
 pub enum PlanPolicy {
     /// Plan at construction by pricing the `znn-theory` FLOP model
@@ -104,6 +86,10 @@ pub enum PlanPolicy {
     /// [`znn_plan::NetPlan::force`] or a planner-produced plan; the
     /// engine panics at construction on an invalid pad).
     Fixed(Arc<znn_plan::NetPlan>),
+    /// One method on every conv edge, `good_shape` pads, fan-out equal
+    /// to the FFT thread budget: shorthand for `Fixed` of
+    /// [`znn_plan::NetPlan::force`]`(graph, out, method, budget, false)`.
+    Force(ConvMethod),
 }
 
 /// Training-engine configuration.
@@ -131,11 +117,9 @@ pub struct TrainConfig {
     pub momentum: f32,
     /// L2 weight decay coefficient (0 disables).
     pub weight_decay: f32,
-    /// Convolution method selection (ignored when [`TrainConfig::plan`]
-    /// is set — the plan carries per-edge methods).
-    pub conv: ConvPolicy,
-    /// Cost-model execution planning; `None` (the default) keeps the
-    /// legacy [`ConvPolicy`]-driven behaviour.
+    /// Where the execution plan comes from. `None` (the default) is
+    /// [`PlanPolicy::Auto`] with a planner built from
+    /// `PlanConfig::host()` at this config's `memoize_fft`.
     pub plan: Option<PlanPolicy>,
     /// Memoize FFTs of images and kernels across passes (Table II).
     pub memoize_fft: bool,
@@ -179,7 +163,6 @@ impl Default for TrainConfig {
             learning_rate: 0.01,
             momentum: 0.0,
             weight_decay: 0.0,
-            conv: ConvPolicy::Autotune,
             plan: None,
             memoize_fft: true,
             loss: Loss::Mse,
@@ -199,7 +182,7 @@ impl TrainConfig {
     pub fn test_default(workers: usize) -> Self {
         TrainConfig {
             workers,
-            conv: ConvPolicy::ForceDirect,
+            plan: Some(PlanPolicy::Force(ConvMethod::Direct)),
             memoize_fft: false,
             ..Default::default()
         }
@@ -214,8 +197,7 @@ mod tests {
     fn defaults_are_sane() {
         let c = TrainConfig::default();
         assert!(c.workers >= 1);
-        assert_eq!(c.conv, ConvPolicy::Autotune);
-        assert!(c.plan.is_none(), "planning is opt-in");
+        assert!(c.plan.is_none(), "the engine builds its own Auto planner");
         assert!(c.memoize_fft);
         assert!(c.dropout.is_none());
         // FFT line parallelism shares the scheduler's budget by default
@@ -235,7 +217,7 @@ mod tests {
     fn test_default_pins_determinism_knobs() {
         let c = TrainConfig::test_default(2);
         assert_eq!(c.workers, 2);
-        assert_eq!(c.conv, ConvPolicy::ForceDirect);
+        assert!(matches!(c.plan, Some(PlanPolicy::Force(ConvMethod::Direct))));
         assert!(!c.memoize_fft);
     }
 }

@@ -23,28 +23,42 @@
 //! net run once) means a `DenseNet` over the filtering graph *is* the
 //! dense sliding-window output, produced in one pass.
 
-use crate::config::ConvPolicy;
-use crate::engine::transform_shape;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use znn_alloc::{lease_image, PoolSet};
-use znn_fft::FftEngine;
+use znn_fft::{good_shape, FftEngine};
 use znn_graph::init::ParamSet;
 use znn_graph::{shapes, EdgeOp, Graph, GraphError};
 use znn_ops::filter::{max_filter, FilterImpl};
 use znn_ops::pool::max_pool;
-use znn_ops::{conv, convolver, ConvMethod};
-use znn_plan::Planner;
+use znn_ops::{conv, ConvMethod};
+use znn_plan::{PlanConfig, Planner};
 use znn_tensor::{ops, pad, Image, Spectrum, Vec3};
+
+/// The forced-method transform shape for an image of shape `n`:
+/// `good_shape`, checked against the fast-path invariant (an odd
+/// packed axis would double spectrum memory and forfeit the
+/// half-length packed stage, [`Spectrum::packed_axis_is_even`]).
+fn transform_shape(n: Vec3) -> Vec3 {
+    let m = good_shape(n);
+    assert!(
+        Spectrum::packed_axis_is_even(m),
+        "good_shape({n}) = {m} has an odd packed-axis extent; the r2c fast path \
+         and tight half-spectrum require it to be even (or unit)"
+    );
+    m
+}
 
 /// Configuration for a [`DenseNet`].
 #[derive(Clone)]
 pub struct DenseConfig {
-    /// Direct-vs-FFT selection per distinct convolution geometry.
-    pub conv: ConvPolicy,
+    /// Forces one convolution method on every conv edge, with FFT
+    /// edges padded to `good_shape`. `None` (the default) prices each
+    /// distinct geometry with the planner instead.
+    pub method: Option<ConvMethod>,
     /// Pooled allocator for outputs, windows and FFT scratch; `None`
     /// falls back to plain allocation.
     pub pools: Option<Arc<PoolSet>>,
@@ -56,20 +70,19 @@ pub struct DenseConfig {
     /// default — this is the read-only-after-warmup cache servers
     /// share across requests.
     pub memoize_spectra: bool,
-    /// Route the serving-side method cache through a cost-model
-    /// planner instead of measurement: under `ConvPolicy::Autotune`
-    /// each new geometry is *priced* ([`Planner::choose_forward`])
-    /// rather than timed — no warmup convolutions on the serving path,
-    /// deterministic choices, and pads follow the planner's
-    /// radix-aware pad model. Forced policies still force. `None`
-    /// (the default) keeps the measurement-based autotune.
+    /// The cost model that prices each new geometry when no `method`
+    /// is forced ([`Planner::choose_forward`]): deterministic choices,
+    /// no timing runs on the serving path, and FFT pads from the
+    /// planner's radix-aware pad model ([`Planner::pad_for`]). `None`
+    /// (the default) makes the net build one from `PlanConfig::host()`.
+    /// Unused when a method is forced.
     pub planner: Option<Arc<Planner>>,
 }
 
 impl Default for DenseConfig {
     fn default() -> Self {
         DenseConfig {
-            conv: ConvPolicy::default(),
+            method: None,
             pools: Some(PoolSet::global()),
             fft_threads: 1,
             memoize_spectra: true,
@@ -147,11 +160,14 @@ pub struct BlockEvent {
     pub shape: Vec3,
 }
 
+/// A conv geometry: (input shape, kernel shape, sparsity).
+type Geometry = (Vec3, Vec3, Vec3);
+
 /// A thread-safe forward-only evaluator producing dense outputs.
 ///
 /// Construction validates the graph; evaluation is `&self` and may be
 /// called concurrently from any number of threads. Interior caches
-/// (autotuned convolution methods, memoized kernel spectra) are filled
+/// (per-geometry convolution choices, memoized kernel spectra) are filled
 /// on first use — call [`DenseNet::warmup`] once to make them
 /// read-only before sharing the net across server workers.
 pub struct DenseNet {
@@ -163,9 +179,8 @@ pub struct DenseNet {
     /// Memoized kernel half-spectra keyed by (edge index, transform
     /// shape) — the cross-request §IV cache.
     kernel_spectra: Mutex<HashMap<(usize, Vec3), Arc<Spectrum>>>,
-    /// Autotuned method per distinct (input, kernel, sparsity)
-    /// geometry.
-    methods: Mutex<HashMap<(Vec3, Vec3, Vec3), ConvMethod>>,
+    /// Method and transform pad per distinct conv geometry.
+    choices: Mutex<HashMap<Geometry, (ConvMethod, Vec3)>>,
 }
 
 impl DenseNet {
@@ -178,8 +193,11 @@ impl DenseNet {
 
     /// Builds a dense evaluator over `graph` using the given
     /// parameters (e.g. carried over from a trained [`crate::Znn`]).
-    pub fn with_params(graph: Graph, params: ParamSet, cfg: DenseConfig) -> Result<Self, DenseError> {
+    pub fn with_params(graph: Graph, params: ParamSet, mut cfg: DenseConfig) -> Result<Self, DenseError> {
         graph.validate()?;
+        if cfg.method.is_none() && cfg.planner.is_none() {
+            cfg.planner = Some(Arc::new(Planner::new(PlanConfig::host())));
+        }
         // the minimal input establishes that the graph admits *some*
         // dense evaluation; concrete shapes are re-derived per call
         let fov = shapes::required_input_shape(&graph, Vec3::one())?;
@@ -194,7 +212,7 @@ impl DenseNet {
             cfg,
             fft: Arc::new(fft),
             kernel_spectra: Mutex::new(HashMap::new()),
-            methods: Mutex::new(HashMap::new()),
+            choices: Mutex::new(HashMap::new()),
         })
     }
 
@@ -209,11 +227,10 @@ impl DenseNet {
     }
 
     /// Mutable access to the parameters. Invalidates the memoized
-    /// kernel spectra and autotuned methods (they are derived from
-    /// the kernels being replaced).
+    /// kernel spectra (they are derived from the kernels being
+    /// replaced).
     pub fn params_mut(&mut self) -> &mut ParamSet {
         self.kernel_spectra.get_mut().clear();
-        self.methods.get_mut().clear();
         &mut self.params
     }
 
@@ -258,7 +275,7 @@ impl DenseNet {
     }
 
     /// Runs one throwaway evaluation at `input_shape` so every interior
-    /// cache (autotuned methods, kernel spectra, FFT plans, pool
+    /// cache (convolution choices, kernel spectra, FFT plans, pool
     /// classes) is populated. After warmup, evaluation at this shape
     /// takes no interior locks beyond cheap cache reads and allocates
     /// only from the pools.
@@ -411,23 +428,22 @@ impl DenseNet {
         Ok(out)
     }
 
-    fn method_for(&self, n: Vec3, k: Vec3, sparsity: Vec3) -> ConvMethod {
-        match self.cfg.conv {
-            ConvPolicy::ForceDirect => ConvMethod::Direct,
-            ConvPolicy::ForceFft => ConvMethod::Fft,
-            ConvPolicy::Autotune => {
-                if let Some(&m) = self.methods.lock().get(&(n, k, sparsity)) {
-                    return m;
-                }
-                // cost model when a planner is routed in (no timing
-                // runs on the serving path), measurement otherwise
-                let m = match &self.cfg.planner {
-                    Some(p) => p.choose_forward(n, k, sparsity).0,
-                    None => convolver::autotune(n, k, sparsity, &self.fft, 1),
-                };
-                *self.methods.lock().entry((n, k, sparsity)).or_insert(m)
-            }
+    /// The method and transform pad for one conv geometry: the forced
+    /// method with `good_shape` pads, else the planner's priced choice.
+    fn choice(&self, n: Vec3, k: Vec3, sparsity: Vec3) -> (ConvMethod, Vec3) {
+        if let Some(m) = self.cfg.method {
+            return (m, transform_shape(n));
         }
+        let planner = self
+            .cfg
+            .planner
+            .as_ref()
+            .expect("with_params builds a planner when no method is forced");
+        *self
+            .choices
+            .lock()
+            .entry((n, k, sparsity))
+            .or_insert_with(|| planner.choose_forward(n, k, sparsity))
     }
 
     fn kernel_spectrum(&self, eid: usize, w: &Image, sparsity: Vec3, m: Vec3) -> Arc<Spectrum> {
@@ -465,23 +481,15 @@ impl DenseNet {
         match e.op {
             EdgeOp::Conv { kernel, sparsity } => {
                 let w = self.params.kernels[eid].as_ref().expect("conv kernel");
-                match self.method_for(input.shape(), kernel, sparsity) {
-                    ConvMethod::Direct => {
+                match self.choice(input.shape(), kernel, sparsity) {
+                    (ConvMethod::Direct, _) => {
                         let out_shape = conv::valid_shape(input.shape(), w.shape(), sparsity)
                             .expect("validated geometry");
                         let mut out = lease_image(self.cfg.pools.as_ref(), out_shape);
                         conv::conv_valid_into(input, w, sparsity, &mut out);
                         out
                     }
-                    ConvMethod::Fft => {
-                        // the planner's pad model when routed in (it
-                        // may prefer a pow2 pad where the radix mix
-                        // favours it), the engine default otherwise;
-                        // both satisfy the packed-even invariant
-                        let m = match &self.cfg.planner {
-                            Some(p) => p.pad_for(input.shape()),
-                            None => transform_shape(input.shape()),
-                        };
+                    (ConvMethod::Fft, m) => {
                         let x_spec = match node_spec {
                             Some((cached_m, s)) if *cached_m == m => Arc::clone(s),
                             _ => {

@@ -1,42 +1,22 @@
 //! The task-parallel training engine.
 
-use crate::config::{ConvPolicy, PlanPolicy, TrainConfig};
+use crate::config::{PlanPolicy, TrainConfig};
 use crate::state::{Contribution, ConvEdge, EdgeState, FreqPlan, MaxEdge, NodeState, TransferEdge};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use znn_fault::FaultKind;
-use znn_fft::{good_shape, spectra, FftEngine};
+use znn_fft::{spectra, FftEngine};
 use znn_graph::init::{bias_init, kernel_init, ParamSet};
 use znn_graph::{priority, shapes, EdgeId, EdgeOp, Graph, NodeId};
 use znn_ops::filter::{max_filter, max_filter_backward, FilterImpl};
 use znn_ops::pool::{max_pool, max_pool_backward};
-use znn_ops::{conv, convolver, ConvMethod};
-use znn_plan::{NetPlan, Planner};
+use znn_ops::{conv, ConvMethod};
+use znn_plan::{NetPlan, PlanConfig, Planner};
 use znn_sched::{Executor, Latch, Scheduler, StealingExecutor, UPDATE_PRIORITY};
 use znn_tensor::{ops, Image, Spectrum, Tensor3, Vec3};
-
-/// The memoized-transform shape for a node of shape `n`: `good_shape`,
-/// checked against the fast-path invariant.
-///
-/// Every spectrum the engine memoizes for a training round is planned
-/// at this shape, so an odd packed axis here would silently double
-/// spectrum memory and forfeit the half-length packed stage on every
-/// transform of the round ([`Spectrum::packed_axis_is_even`]). The
-/// assert turns that quiet regression into an immediate, attributable
-/// panic at engine construction.
-pub(crate) fn transform_shape(n: Vec3) -> Vec3 {
-    let m = good_shape(n);
-    assert!(
-        Spectrum::packed_axis_is_even(m),
-        "good_shape({n}) = {m} has an odd packed-axis extent; the r2c fast path \
-         and tight half-spectrum require it to be even (or unit)"
-    );
-    m
-}
 
 /// Statistics of one training round.
 #[derive(Clone, Copy, Debug, Default)]
@@ -149,8 +129,8 @@ struct Inner {
     panic_note: Mutex<Option<String>>,
     /// Engine-contained task panics since construction.
     task_panics: AtomicU64,
-    /// The resolved execution plan, when planning is enabled.
-    net_plan: Option<Arc<NetPlan>>,
+    /// The resolved execution plan.
+    net_plan: Arc<NetPlan>,
     /// The live planner behind `PlanPolicy::Auto` — fed each round's
     /// measured wall time; its re-plans move the FFT fan-out.
     planner: Option<Arc<Planner>>,
@@ -241,30 +221,49 @@ impl Znn {
 
         // resolve the execution plan before any per-edge state exists:
         // Auto prices the theory FLOP model through the planner's
-        // machine model; Fixed takes the caller's plan verbatim
-        let (planner, net_plan): (Option<Arc<Planner>>, Option<Arc<NetPlan>>) = match &cfg.plan {
-            None => (None, None),
-            Some(PlanPolicy::Auto(p)) => {
-                let plan = Arc::new(p.plan(&graph, output_shape, cfg.workers, fft_budget)?);
-                (Some(Arc::clone(p)), Some(plan))
-            }
-            Some(PlanPolicy::Fixed(plan)) => (None, Some(Arc::clone(plan))),
+        // machine model (no policy means Auto on a host planner that
+        // prices the configured memoization); Fixed takes the caller's
+        // plan verbatim; Force pins one method on every conv edge
+        let auto = |p: Arc<Planner>| -> Result<_, shapes::ShapeError> {
+            let plan = p.plan(&graph, output_shape, cfg.workers, fft_budget)?;
+            Ok((Some(p), Arc::new(plan)))
         };
-        if let Some(plan) = &net_plan {
-            assert_eq!(
-                plan.edges.len(),
-                graph.edge_count(),
-                "plan must have one entry per graph edge"
-            );
-            fft.set_threads(plan.fft_threads.min(fft_budget));
+        let (planner, net_plan) = match &cfg.plan {
+            None => auto(Arc::new(Planner::new(PlanConfig {
+                memoize_fft: cfg.memoize_fft,
+                ..PlanConfig::host()
+            })))?,
+            Some(PlanPolicy::Auto(p)) => auto(Arc::clone(p))?,
+            Some(PlanPolicy::Fixed(plan)) => (None, Arc::clone(plan)),
+            Some(PlanPolicy::Force(m)) => (
+                None,
+                Arc::new(NetPlan::force(&graph, output_shape, *m, fft_budget, false)?),
+            ),
+        };
+        assert_eq!(
+            net_plan.edges.len(),
+            graph.edge_count(),
+            "plan must have one entry per graph edge"
+        );
+        for (i, e) in graph.edges().iter().enumerate() {
+            if let EdgeOp::Conv { .. } = e.op {
+                let n = node_shape[e.from.0];
+                let ep = net_plan.edges[i]
+                    .unwrap_or_else(|| panic!("plan is missing an entry for conv edge {i}"));
+                assert!(
+                    n.le(ep.pad),
+                    "plan pad {} for edge {i} is smaller than its image {n}",
+                    ep.pad
+                );
+                assert!(
+                    Spectrum::packed_axis_is_even(ep.pad),
+                    "plan pad {} for edge {i} has an odd packed axis",
+                    ep.pad
+                );
+            }
         }
+        fft.set_threads(net_plan.fft_threads.min(fft_budget));
 
-        // the scheduler exists before any method decision so its idle
-        // workers already donate to the fork-join pool: the
-        // measurement-based autotune fallback below times convolutions
-        // at the engine's real parallel width (it used to run before
-        // donors existed, which silently measured every candidate
-        // serially regardless of the configured fft_threads budget)
         let sched = if cfg.work_stealing {
             Pool::Stealing(StealingExecutor::with_donation(
                 cfg.workers,
@@ -278,68 +277,25 @@ impl Znn {
             ))
         };
 
-        // decide method and pad per conv edge: from the plan when one
-        // is present, else per distinct layer geometry (§IV) via the
-        // legacy policy
-        let mut method_cache: HashMap<(Vec3, Vec3, Vec3), ConvMethod> = HashMap::new();
-        let mut edge_method = vec![ConvMethod::Direct; graph.edge_count()];
-        let mut edge_pad: Vec<Vec3> = graph
-            .edges()
-            .iter()
-            .map(|e| transform_shape(node_shape[e.from.0]))
-            .collect();
-        for (i, e) in graph.edges().iter().enumerate() {
-            if let EdgeOp::Conv { kernel, sparsity } = e.op {
-                let n = node_shape[e.from.0];
-                match &net_plan {
-                    Some(plan) => {
-                        let ep = plan.edges[i].unwrap_or_else(|| {
-                            panic!("plan is missing an entry for conv edge {i}")
-                        });
-                        assert!(
-                            n.le(ep.pad),
-                            "plan pad {} for edge {i} is smaller than its image {n}",
-                            ep.pad
-                        );
-                        assert!(
-                            Spectrum::packed_axis_is_even(ep.pad),
-                            "plan pad {} for edge {i} has an odd packed axis",
-                            ep.pad
-                        );
-                        edge_method[i] = ep.method;
-                        edge_pad[i] = ep.pad;
-                    }
-                    None => {
-                        let key = (n, kernel, sparsity);
-                        let m = *method_cache.entry(key).or_insert_with(|| match cfg.conv {
-                            ConvPolicy::ForceDirect => ConvMethod::Direct,
-                            ConvPolicy::ForceFft => ConvMethod::Fft,
-                            ConvPolicy::Autotune => {
-                                convolver::autotune(n, kernel, sparsity, &fft, 1)
-                            }
-                        });
-                        edge_method[i] = m;
-                    }
-                }
-            }
-        }
-
         // per-edge runtime state with deterministic parameter init
         let edges: Vec<EdgeState> = graph
             .edges()
             .iter()
             .enumerate()
             .map(|(i, e)| match e.op {
-                EdgeOp::Conv { kernel, sparsity } => EdgeState::Conv(ConvEdge {
-                    kernel: Mutex::new(kernel_init(cfg.seed, EdgeId(i), kernel)),
-                    velocity: Mutex::new(None),
-                    method: edge_method[i],
-                    kernel_spectrum: Mutex::new(None),
-                    update: znn_sched::UpdateHandle::new(),
-                    k: kernel,
-                    sparsity,
-                    m: edge_pad[i],
-                }),
+                EdgeOp::Conv { kernel, sparsity } => {
+                    let ep = net_plan.edges[i].expect("checked above");
+                    EdgeState::Conv(ConvEdge {
+                        kernel: Mutex::new(kernel_init(cfg.seed, EdgeId(i), kernel)),
+                        velocity: Mutex::new(None),
+                        method: ep.method,
+                        kernel_spectrum: Mutex::new(None),
+                        update: znn_sched::UpdateHandle::new(),
+                        k: kernel,
+                        sparsity,
+                        m: ep.pad,
+                    })
+                }
                 EdgeOp::Transfer { function } => EdgeState::Transfer(TransferEdge {
                     bias: Mutex::new(bias_init(cfg.seed, EdgeId(i))),
                     function,
@@ -484,7 +440,7 @@ impl Znn {
         &self.inner.graph
     }
 
-    /// The convolution method chosen for edge `e` (after autotuning).
+    /// The convolution method the plan assigned to edge `e`.
     pub fn conv_method(&self, e: EdgeId) -> Option<ConvMethod> {
         match &self.inner.edges[e.0] {
             EdgeState::Conv(c) => Some(c.method),
@@ -605,16 +561,16 @@ impl Znn {
         Ok(loss_total)
     }
 
-    /// The resolved execution plan, when [`crate::PlanPolicy`] planning
-    /// is enabled (`None` under the legacy [`ConvPolicy`] path). Note
-    /// the *plan* is frozen at construction; only the FFT fan-out
-    /// moves when the `Auto` calibrator re-plans.
+    /// The execution plan resolved at construction; always `Some`,
+    /// since every engine is planned. The *plan* is frozen; only the
+    /// FFT fan-out moves when the `Auto` calibrator re-plans.
     pub fn net_plan(&self) -> Option<&Arc<NetPlan>> {
-        self.inner.net_plan.as_ref()
+        Some(&self.inner.net_plan)
     }
 
     /// The live fan-out cap of the engine's FFT engine (moves when the
-    /// `Auto` planner re-plans; otherwise the configured budget).
+    /// `Auto` planner re-plans; otherwise the plan's fan-out, capped by
+    /// the configured budget).
     pub fn fft_threads(&self) -> usize {
         self.inner.fft.threads()
     }

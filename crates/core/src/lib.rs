@@ -14,7 +14,8 @@
 //! * update tasks run at the lowest priority and are **forced** by the
 //!   next round's forward tasks (Algorithms 1–3), so parameters are
 //!   written cache-hot right before use and no thread ever blocks;
-//! * per-layer **autotuning** picks direct vs FFT convolution, and FFT
+//! * a per-edge **plan** from `znn-plan` ([`PlanPolicy`]) picks direct
+//!   vs FFT convolution and the transform pad, and FFT
 //!   **memoization** reuses forward-pass transforms in the backward and
 //!   update passes (Table II);
 //! * image buffers are recycled through the pooled allocator of
@@ -44,7 +45,7 @@ mod state;
 mod trainer;
 
 pub use checkpoint::{latest_valid, Checkpoint, CheckpointError};
-pub use config::{CheckpointConfig, ConvPolicy, HealthPolicy, PlanPolicy, TrainConfig};
+pub use config::{CheckpointConfig, HealthPolicy, PlanPolicy, TrainConfig};
 pub use data::{BlobsDataset, Dataset, RandomDataset};
 pub use dense::{BlockEvent, Cancelled, DenseConfig, DenseError, DenseNet};
 pub use engine::{RoundError, RoundStats, Znn};

@@ -11,9 +11,9 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 use znn_alloc::PoolSet;
 use znn_baseline::ReferenceNet;
-use znn_core::{ConvPolicy, DenseConfig, DenseNet};
+use znn_core::{DenseConfig, DenseNet};
 use znn_graph::{Graph, NetBuilder};
-use znn_ops::Transfer;
+use znn_ops::{ConvMethod, Transfer};
 use znn_tensor::{ops, pad, Tensor3, Vec3};
 
 /// A tiny max-pooling recognition net: C3 T P2 C3 T, field of view 9².
@@ -42,16 +42,16 @@ fn filtering_net() -> Graph {
         .0
 }
 
-fn dense_cfg(conv: ConvPolicy) -> DenseConfig {
+fn dense_cfg(method: ConvMethod) -> DenseConfig {
     DenseConfig {
-        conv,
+        method: Some(method),
         ..DenseConfig::default()
     }
 }
 
 /// Dense net with the sliding reference's parameters carried over.
-fn dense_from_reference(slider: &ReferenceNet, conv: ConvPolicy) -> DenseNet {
-    DenseNet::with_params(filtering_net(), slider.params().clone(), dense_cfg(conv)).unwrap()
+fn dense_from_reference(slider: &ReferenceNet, method: ConvMethod) -> DenseNet {
+    DenseNet::with_params(filtering_net(), slider.params().clone(), dense_cfg(method)).unwrap()
 }
 
 #[test]
@@ -71,15 +71,21 @@ fn dense_matches_sliding_reference() {
         }
     }
 
-    for conv in [ConvPolicy::ForceDirect, ConvPolicy::ForceFft] {
-        let dense = dense_from_reference(&slider, conv);
+    // both forced methods, and the default config: no method, no
+    // planner, so the net prices each geometry on a host planner
+    for method in [Some(ConvMethod::Direct), Some(ConvMethod::Fft), None] {
+        let cfg = DenseConfig {
+            method,
+            ..DenseConfig::default()
+        };
+        let dense = DenseNet::with_params(filtering_net(), slider.params().clone(), cfg).unwrap();
         assert_eq!(dense.output_shape_for(n), Some(dense_shape));
         assert_eq!(dense.input_shape_for(dense_shape).unwrap(), n);
         let fast = dense.forward(&image);
         let diff = slow.max_abs_diff(&fast);
         assert!(
             diff < 1e-4,
-            "Fig 2 equivalence must hold under {conv:?}: max diff {diff:.2e}"
+            "Fig 2 equivalence must hold under {method:?}: max diff {diff:.2e}"
         );
     }
 }
@@ -87,7 +93,7 @@ fn dense_matches_sliding_reference() {
 #[test]
 fn blocked_matches_whole_bitwise_under_direct() {
     let slider = ReferenceNet::new(pooling_net(), Vec3::flat(1, 1), 11).unwrap();
-    let dense = dense_from_reference(&slider, ConvPolicy::ForceDirect);
+    let dense = dense_from_reference(&slider, ConvMethod::Direct);
     let image = ops::random(Vec3::flat(23, 26), 5);
     let whole = dense.forward(&image);
 
@@ -122,7 +128,7 @@ fn blocked_matches_whole_bitwise_under_direct() {
 #[test]
 fn blocked_fft_matches_whole_within_tolerance() {
     let slider = ReferenceNet::new(pooling_net(), Vec3::flat(1, 1), 13).unwrap();
-    let dense = dense_from_reference(&slider, ConvPolicy::ForceFft);
+    let dense = dense_from_reference(&slider, ConvMethod::Fft);
     let image = ops::random(Vec3::flat(21, 24), 9);
     let whole = dense.forward(&image);
     let blocked = dense
@@ -136,7 +142,7 @@ fn blocked_fft_matches_whole_within_tolerance() {
 fn cancellation_returns_every_pooled_lease() {
     let pools = PoolSet::new();
     let cfg = DenseConfig {
-        conv: ConvPolicy::ForceDirect,
+        method: Some(ConvMethod::Direct),
         pools: Some(Arc::clone(&pools)),
         ..DenseConfig::default()
     };
@@ -163,7 +169,7 @@ fn cancellation_returns_every_pooled_lease() {
 
 #[test]
 fn spectra_memoize_once_and_params_mut_invalidates() {
-    let dense = DenseNet::new(filtering_net(), 21, dense_cfg(ConvPolicy::ForceFft)).unwrap();
+    let dense = DenseNet::new(filtering_net(), 21, dense_cfg(ConvMethod::Fft)).unwrap();
     let shape = Vec3::flat(20, 20);
     assert_eq!(dense.memoized_spectra(), 0);
     dense.warmup(shape);
@@ -197,7 +203,7 @@ fn spectra_memoize_once_and_params_mut_invalidates() {
 #[test]
 fn multi_threaded_sharing_is_consistent() {
     let slider = ReferenceNet::new(pooling_net(), Vec3::flat(1, 1), 17).unwrap();
-    let dense = Arc::new(dense_from_reference(&slider, ConvPolicy::ForceFft));
+    let dense = Arc::new(dense_from_reference(&slider, ConvMethod::Fft));
     let image = ops::random(Vec3::flat(20, 22), 33);
     dense.warmup(image.shape());
     let expect = dense.forward(&image);

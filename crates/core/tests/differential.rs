@@ -4,16 +4,16 @@
 //! accumulation, worker count, and graph shape.
 
 use znn_baseline::ReferenceNet;
-use znn_core::{ConvPolicy, TrainConfig, Znn};
+use znn_core::{PlanPolicy, TrainConfig, Znn};
 use znn_graph::builder::{comparison_net, scalability_net_3d};
 use znn_graph::{Graph, NetBuilder};
-use znn_ops::{Loss, Transfer};
+use znn_ops::{ConvMethod, Loss, Transfer};
 use znn_tensor::{ops, Image, Tensor3, Vec3};
 
-fn cfg(workers: usize, conv: ConvPolicy, memoize: bool) -> TrainConfig {
+fn cfg(workers: usize, method: ConvMethod, memoize: bool) -> TrainConfig {
     TrainConfig {
         workers,
-        conv,
+        plan: Some(PlanPolicy::Force(method)),
         memoize_fft: memoize,
         learning_rate: 0.02,
         ..TrainConfig::test_default(workers)
@@ -64,25 +64,25 @@ fn small_graph() -> (Graph, Vec3) {
 #[test]
 fn direct_single_worker_matches_reference() {
     let (g, out) = small_graph();
-    check_agreement(g, out, cfg(1, ConvPolicy::ForceDirect, false), 4, 1e-3);
+    check_agreement(g, out, cfg(1, ConvMethod::Direct, false), 4, 1e-3);
 }
 
 #[test]
 fn direct_multi_worker_matches_reference() {
     let (g, out) = small_graph();
-    check_agreement(g, out, cfg(4, ConvPolicy::ForceDirect, false), 4, 1e-3);
+    check_agreement(g, out, cfg(4, ConvMethod::Direct, false), 4, 1e-3);
 }
 
 #[test]
 fn fft_without_memoization_matches_reference() {
     let (g, out) = small_graph();
-    check_agreement(g, out, cfg(2, ConvPolicy::ForceFft, false), 3, 2e-3);
+    check_agreement(g, out, cfg(2, ConvMethod::Fft, false), 3, 2e-3);
 }
 
 #[test]
 fn fft_with_memoization_matches_reference() {
     let (g, out) = small_graph();
-    check_agreement(g, out, cfg(2, ConvPolicy::ForceFft, true), 3, 2e-3);
+    check_agreement(g, out, cfg(2, ConvMethod::Fft, true), 3, 2e-3);
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn pooling_and_filtering_nets_match_reference() {
         check_agreement(
             g,
             Vec3::flat(2, 2),
-            cfg(3, ConvPolicy::ForceDirect, false),
+            cfg(3, ConvMethod::Direct, false),
             2,
             2e-3,
         );
@@ -107,7 +107,7 @@ fn sparse_fft_training_matches_reference() {
     check_agreement(
         g,
         Vec3::flat(2, 2),
-        cfg(2, ConvPolicy::ForceFft, true),
+        cfg(2, ConvMethod::Fft, true),
         2,
         5e-3,
     );
@@ -119,18 +119,21 @@ fn paper_3d_architecture_matches_reference() {
     check_agreement(
         g,
         Vec3::cube(2),
-        cfg(4, ConvPolicy::ForceDirect, false),
+        cfg(4, ConvMethod::Direct, false),
         2,
         2e-3,
     );
 }
 
 #[test]
-fn autotune_picks_a_method_and_stays_correct() {
+fn unplanned_config_plans_itself_and_stays_correct() {
+    // `plan: None` resolves an Auto plan on a host planner: whatever
+    // mix of methods and pads it prices, training must still agree
+    // with the sequential reference
     let (g, out) = small_graph();
     let config = TrainConfig {
-        conv: ConvPolicy::Autotune,
-        ..cfg(2, ConvPolicy::Autotune, true)
+        plan: None,
+        ..cfg(2, ConvMethod::Direct, true)
     };
     check_agreement(g, out, config, 2, 2e-3);
 }
@@ -149,8 +152,8 @@ fn multi_output_networks_train() {
     g.add_edge(i, a, conv);
     g.add_edge(i, b, conv);
     let out = Vec3::cube(3);
-    let znn = Znn::new(g.clone(), out, cfg(2, ConvPolicy::ForceDirect, false)).unwrap();
-    let mut reference = ReferenceNet::new(g, out, cfg(1, ConvPolicy::ForceDirect, false).seed).unwrap();
+    let znn = Znn::new(g.clone(), out, cfg(2, ConvMethod::Direct, false)).unwrap();
+    let mut reference = ReferenceNet::new(g, out, cfg(1, ConvMethod::Direct, false).seed).unwrap();
     let x = ops::random(znn.input_shape(), 5);
     let t1: Image = Tensor3::zeros(out);
     let t2: Image = Tensor3::filled(out, 0.5);
@@ -167,8 +170,8 @@ fn r2c_fft_gradients_match_direct_method() {
     // method on the same engine — the gradient-parity gate for the
     // half-spectrum switch
     let (g, out) = small_graph();
-    let fft = Znn::new(g.clone(), out, cfg(2, ConvPolicy::ForceFft, true)).unwrap();
-    let direct = Znn::new(g, out, cfg(2, ConvPolicy::ForceDirect, false)).unwrap();
+    let fft = Znn::new(g.clone(), out, cfg(2, ConvMethod::Fft, true)).unwrap();
+    let direct = Znn::new(g, out, cfg(2, ConvMethod::Direct, false)).unwrap();
     assert!(fft.params().max_abs_diff(&direct.params()) == 0.0);
     let x = ops::random(fft.input_shape(), 91);
     let t = ops::random(out, 92).map(|v| 0.4 * v);

@@ -2,9 +2,9 @@
 //! extensions (dropout, momentum, weight decay), and scheduler/FORCE
 //! instrumentation.
 
-use znn_core::{BlobsDataset, ConvPolicy, Dataset, TrainConfig, Znn};
+use znn_core::{BlobsDataset, Dataset, PlanPolicy, TrainConfig, Znn};
 use znn_graph::NetBuilder;
-use znn_ops::{Loss, Transfer};
+use znn_ops::{ConvMethod, Loss, Transfer};
 use znn_tensor::{ops, Tensor3, Vec3};
 
 fn boundary_net() -> znn_graph::Graph {
@@ -174,7 +174,7 @@ fn heap_of_lists_sees_few_distinct_priorities() {
 fn memoized_spectra_are_bounded_and_cleared() {
     let out = Vec3::cube(2);
     let cfg = TrainConfig {
-        conv: ConvPolicy::ForceFft,
+        plan: Some(PlanPolicy::Force(ConvMethod::Fft)),
         memoize_fft: true,
         ..TrainConfig::test_default(2)
     };
@@ -264,7 +264,7 @@ fn fft_thread_budget_routes_from_config_without_changing_results() {
     let run = |fft_threads: Option<usize>| -> Vec<f64> {
         let cfg = TrainConfig {
             workers: 1,
-            conv: ConvPolicy::ForceFft,
+            plan: Some(PlanPolicy::Force(ConvMethod::Fft)),
             memoize_fft: true,
             fft_threads,
             learning_rate: 0.05,

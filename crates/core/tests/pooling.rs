@@ -6,14 +6,15 @@
 
 use std::sync::Arc;
 use znn_alloc::PoolSet;
-use znn_core::{ConvPolicy, TrainConfig, Znn};
+use znn_core::{PlanPolicy, TrainConfig, Znn};
 use znn_graph::builder::comparison_net;
+use znn_ops::ConvMethod;
 use znn_tensor::{ops, Vec3};
 
 fn cfg(pools: Option<Arc<PoolSet>>) -> TrainConfig {
     TrainConfig {
         workers: 1,
-        conv: ConvPolicy::ForceFft,
+        plan: Some(PlanPolicy::Force(ConvMethod::Fft)),
         memoize_fft: true,
         pools,
         ..Default::default()

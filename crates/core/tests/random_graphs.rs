@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use znn_baseline::ReferenceNet;
-use znn_core::{ConvPolicy, TrainConfig, Znn};
+use znn_core::{PlanPolicy, TrainConfig, Znn};
 use znn_graph::{EdgeOp, Graph};
-use znn_ops::{Loss, Transfer};
+use znn_ops::{ConvMethod, Loss, Transfer};
 use znn_tensor::{ops, Vec3};
 
 /// A random layered DAG honouring §II's constraints: convergent edges
@@ -142,7 +142,7 @@ proptest! {
             net.graph.clone(),
             net.out_shape,
             TrainConfig {
-                conv: ConvPolicy::ForceFft,
+                plan: Some(PlanPolicy::Force(ConvMethod::Fft)),
                 memoize_fft: true,
                 ..TrainConfig::test_default(2)
             },

@@ -1,6 +1,6 @@
 //! One-shot FFT convolutions built on the staged engine API.
 //!
-//! These are the self-contained forms used by tests, the autotuner and
+//! These are the self-contained forms used by tests, benches and
 //! callers that don't manage transform sharing themselves. The training
 //! engine in `znn-core` uses the staged API directly so image transforms
 //! can be shared across edges and memoized across passes.

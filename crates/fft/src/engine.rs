@@ -662,7 +662,7 @@ impl FftEngine {
     }
 
     /// c2c variant of [`FftEngine::forward_padded`], kept as the parity
-    /// baseline (tests, benches, autotune comparisons).
+    /// baseline (tests and benches).
     pub fn forward_padded_c2c(&self, img: &Image, shape: Vec3) -> CImage {
         assert!(
             img.shape().le(shape),

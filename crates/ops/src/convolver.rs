@@ -1,15 +1,14 @@
 //! A method-agnostic convolution front end.
 //!
-//! The training engine picks direct or FFT convolution **per layer** by
-//! autotuning (§IV); everything downstream only sees this trait-object-
-//! free façade. The FFT path here is the *unshared* one-shot form — the
-//! engine uses the staged `znn-fft` API directly when it can share and
-//! memoize transforms; the [`Convolver`] is what the autotuner times and
-//! what baseline/bench code calls.
+//! The training engine picks direct or FFT convolution **per layer**
+//! from the `znn-plan` cost model (§IV); this trait-object-free façade
+//! runs either method behind one interface. The FFT path here is the
+//! *unshared* one-shot form — the engine uses the staged `znn-fft` API
+//! directly when it can share and memoize transforms; the
+//! [`Convolver`] is what tests and benches call.
 
 use crate::conv;
 use std::sync::Arc;
-use std::time::Instant;
 use znn_fft::FftEngine;
 use znn_tensor::{Image, Vec3};
 
@@ -29,8 +28,7 @@ pub enum ConvMethod {
 /// engine was built with `FftEngine::with_buffer_pools`, the FFT path
 /// pools through the engine itself and the direct path leases its
 /// output buffers from the same `PoolSet` — one memory budget for both
-/// methods (exactly as the autotuner times them inside the training
-/// engine).
+/// methods, as inside the training engine.
 #[derive(Clone)]
 pub struct Convolver {
     method: ConvMethod,
@@ -124,34 +122,6 @@ impl Convolver {
     }
 }
 
-/// Times one forward+backward+update round for each method on the given
-/// geometry and returns the faster method — the per-layer autotuning
-/// policy of §IV. `reps` rounds are averaged after one warm-up.
-pub fn autotune(n: Vec3, k: Vec3, sparsity: Vec3, engine: &Arc<FftEngine>, reps: u32) -> ConvMethod {
-    let img = znn_tensor::ops::random(n, 1);
-    let ker = znn_tensor::ops::random(k, 2);
-    let out_shape = conv::valid_shape(n, k, sparsity).expect("geometry must be valid");
-    let g = znn_tensor::ops::random(out_shape, 3);
-    let mut best = (ConvMethod::Direct, f64::INFINITY);
-    for method in [ConvMethod::Direct, ConvMethod::Fft] {
-        let c = Convolver::new(method, Arc::clone(engine));
-        // warm-up: populates FFT plan caches so we time steady state
-        let _ = c.conv_valid(&img, &ker, sparsity);
-        let start = Instant::now();
-        for _ in 0..reps {
-            let y = c.conv_valid(&img, &ker, sparsity);
-            let _ = c.input_gradient(&g, &ker, sparsity);
-            let _ = c.kernel_gradient(&img, &g, k, sparsity);
-            std::hint::black_box(y);
-        }
-        let dt = start.elapsed().as_secs_f64() / reps as f64;
-        if dt < best.1 {
-            best = (method, dt);
-        }
-    }
-    best.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,12 +188,5 @@ mod tests {
             assert_eq!(a.shape(), k);
             assert!(a.max_abs_diff(&b) < 1e-3, "s={s}: {}", a.max_abs_diff(&b));
         }
-    }
-
-    #[test]
-    fn autotune_returns_some_method_quickly() {
-        let engine = Arc::new(FftEngine::new());
-        let m = autotune(Vec3::cube(8), Vec3::cube(3), Vec3::one(), &engine, 1);
-        assert!(matches!(m, ConvMethod::Direct | ConvMethod::Fft));
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! Convolution comes in two interchangeable implementations — direct
 //! loops here and FFT-based in [`znn_fft`] — selected per layer by the
-//! autotuner in `znn-core` (§IV). Max-filtering likewise has two
+//! `znn-plan` cost model that `znn-core` plans with (§IV). Max-filtering likewise has two
 //! implementations: a monotonic-deque O(n) variant (default) and the
 //! paper's heap-based O(n log k) variant, kept for the ablation bench.
 //!

@@ -4,10 +4,9 @@
 //!
 //! The paper's §IV observation is that the direct-vs-FFT crossover is
 //! input-size *and* machine dependent, so any static choice is wrong
-//! somewhere. The engine's measurement-based autotuner handles the
-//! method choice by timing both paths, but it cannot see pad shapes or
-//! the `fft_threads` fan-out, and it re-measures on every new
-//! geometry. This crate instead *prices* every candidate strategy:
+//! somewhere. Rather than timing both paths per geometry, this crate
+//! *prices* every candidate strategy, including the pad shapes and the
+//! `fft_threads` fan-out a timing run cannot see:
 //!
 //! 1. [`cost`] counts per-edge FLOPs from the paper's Tables I–II,
 //!    refined to be pad- and radix-aware (a 5-smooth pad's mixed-radix
@@ -26,10 +25,11 @@
 //!    bit-identical across every `fft_threads` value, while method and
 //!    pad (which do change low-order bits) stay frozen at plan time.
 //!
-//! The engine consumes plans through `TrainConfig::plan`
-//! (`PlanPolicy::Auto` / `PlanPolicy::Fixed` in `znn-core`), and
-//! `DenseNet`'s serving-side method cache can route through the same
-//! planner via [`Planner::choose_forward`].
+//! The engine takes every conv edge's method and pad from a
+//! [`NetPlan`], resolved through `TrainConfig::plan`
+//! (`PlanPolicy::Auto`, `Fixed` or `Force` in `znn-core`), and
+//! `DenseNet` prices each serving geometry through
+//! [`Planner::choose_forward`] unless a method is forced.
 //!
 //! ```
 //! use znn_plan::{PlanConfig, Planner};

@@ -460,9 +460,8 @@ impl Planner {
     }
 
     /// Direct/FFT choice for a single *serving* (forward-only)
-    /// geometry — the cost-model replacement for the measurement-based
-    /// `convolver::autotune` in `DenseNet`'s method cache. Returns the
-    /// method and the pad FFT would use.
+    /// geometry, as `DenseNet` prices each new request shape. Returns
+    /// the method and the pad FFT would use.
     pub fn choose_forward(&self, n: Vec3, k: Vec3, sparsity: Vec3) -> (ConvMethod, Vec3) {
         let pad = self.pad_for(n);
         let kd = k.dilated(sparsity);

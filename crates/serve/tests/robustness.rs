@@ -13,10 +13,10 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use znn_alloc::PoolSet;
-use znn_core::{ConvPolicy, DenseConfig, DenseNet};
+use znn_core::{DenseConfig, DenseNet};
 use znn_fault::{FaultKind, FaultPlan};
 use znn_graph::{Graph, NetBuilder};
-use znn_ops::Transfer;
+use znn_ops::{ConvMethod, Transfer};
 use znn_serve::{Rejected, ServeConfig, Server};
 use znn_tensor::{ops, Vec3};
 
@@ -35,7 +35,7 @@ fn filtering_net() -> Graph {
 
 fn dense_net(pools: Arc<PoolSet>) -> Arc<DenseNet> {
     let cfg = DenseConfig {
-        conv: ConvPolicy::ForceDirect,
+        method: Some(ConvMethod::Direct),
         pools: Some(pools),
         ..DenseConfig::default()
     };

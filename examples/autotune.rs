@@ -1,16 +1,16 @@
 //! Watch the cost-model planner (`znn-plan`) choose direct vs FFT
 //! convolution, pad shapes, and the FFT fan-out per conv edge — then
 //! verify the planned engine agrees numerically with both forced
-//! paths and with the legacy measurement-based autotuner.
+//! paths.
 //!
 //! ```sh
 //! cargo run --release --example autotune
 //! ```
 
 use std::sync::Arc;
-use znn::core::{ConvPolicy, PlanPolicy, TrainConfig, Znn};
+use znn::core::{PlanPolicy, TrainConfig, Znn};
 use znn::graph::NetBuilder;
-use znn::ops::Transfer;
+use znn::ops::{ConvMethod, Transfer};
 use znn::plan::{PlanConfig, Planner};
 use znn::tensor::{ops, Vec3};
 
@@ -27,8 +27,8 @@ fn main() {
         .unwrap();
 
     let out_shape = Vec3::cube(3);
-    // `--plan auto` in the CLI: price the theory FLOP model through a
-    // detected machine model instead of timing each layer
+    // what every unforced run does: price the theory FLOP model
+    // through a detected machine model instead of timing each layer
     let planner = Arc::new(Planner::new(PlanConfig::host()));
     println!(
         "machine prior: {} ({} cores, {:.1} GFLOP/s, {:.1} GB/s)",
@@ -68,27 +68,22 @@ fn main() {
         }
     }
 
-    // the planned engine, both forced paths, and the legacy
-    // measurement-based autotuner all agree numerically
+    // the planned engine and both forced paths agree numerically
     let x = ops::random(planned.input_shape(), 5);
     let y_planned = planned.forward(std::slice::from_ref(&x)).remove(0);
-    for policy in [
-        ConvPolicy::Autotune,
-        ConvPolicy::ForceDirect,
-        ConvPolicy::ForceFft,
-    ] {
+    for method in [ConvMethod::Direct, ConvMethod::Fft] {
         let forced = Znn::new(
             graph.clone(),
             out_shape,
             TrainConfig {
-                conv: policy,
+                plan: Some(PlanPolicy::Force(method)),
                 ..Default::default()
             },
         )
         .unwrap();
         let y = forced.forward(std::slice::from_ref(&x)).remove(0);
         let d = y.max_abs_diff(&y_planned);
-        println!("{policy:?} max deviation from planned output: {d:.2e}");
+        println!("Force({method:?}) max deviation from planned output: {d:.2e}");
         assert!(d < 1e-3);
     }
     println!("all convolution paths agree.");

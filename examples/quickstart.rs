@@ -32,7 +32,7 @@ fn main() {
         info.layers.len(),
     );
 
-    // 2. Configure the engine. Autotuning picks direct vs FFT
+    // 2. Configure the engine. The cost-model planner picks direct vs FFT
     //    convolution per layer; updates are scheduled lazily and forced
     //    by the next round exactly as in the paper.
     let output_shape = Vec3::cube(8);

@@ -85,7 +85,7 @@ fn main() {
         Some(dense_shape),
         "filter net consumes the whole image"
     );
-    dense.warmup(n); // populate autotune + kernel-spectrum caches
+    dense.warmup(n); // populate conv-choice + kernel-spectrum caches
     let t0 = Instant::now();
     let fast = dense.forward(&image);
     let t_fast = t0.elapsed();

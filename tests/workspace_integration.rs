@@ -2,10 +2,10 @@
 //! paper-level invariants that tie several subsystems together.
 
 use znn::baseline::{LayerwiseNet, ReferenceNet};
-use znn::core::{ConvPolicy, TrainConfig, Znn};
+use znn::core::{PlanPolicy, TrainConfig, Znn};
 use znn::graph::builder::{comparison_net, scalability_net_2d, scalability_net_3d};
 use znn::graph::{shapes, TaskGraph};
-use znn::ops::{Loss, Transfer};
+use znn::ops::{ConvMethod, Loss, Transfer};
 use znn::sim::costs::task_costs;
 use znn::sim::{simulate, Machine, SimConfig};
 use znn::tensor::{ops, pad, Tensor3, Vec3};
@@ -113,7 +113,7 @@ fn facade_end_to_end_2d_training() {
         .unwrap();
     let out = Vec3::flat(4, 4);
     let cfg = TrainConfig {
-        conv: ConvPolicy::ForceFft,
+        plan: Some(PlanPolicy::Force(ConvMethod::Fft)),
         memoize_fft: true,
         learning_rate: 0.05,
         loss: Loss::Mse,
