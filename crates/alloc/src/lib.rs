@@ -22,10 +22,10 @@
 //!   wide [`PoolSet::global`] through `FftEngine`, `znn-core` and the
 //!   `znn-ops` convolvers, making steady-state training rounds
 //!   allocation-free.
-//! * [`ImagePool`] / [`BufferPool`] — the typed, lock-free (crossbeam
-//!   [`SegQueue`](crossbeam_queue::SegQueue)) recycling pools the
+//! * [`BufferPool`] — the typed, lock-free (crossbeam
+//!   [`SegQueue`](crossbeam_queue::SegQueue)) recycling pool the
 //!   `PoolSet` is built from, also usable directly with explicit
-//!   `get`/`put`.
+//!   `get`/`put` of `Vec` buffers.
 //!
 //! Both report [`PoolStats`] — hits, misses, resident and churn bytes —
 //! so the §IX-B memory experiments (and `RoundStats` / `BENCH_fft.json`
@@ -39,6 +39,6 @@ mod set;
 mod stats;
 
 pub use class::{class_of, size_of_class, CLASS_COUNT};
-pub use pool::{BufferPool, ClassReport, ImagePool};
+pub use pool::{BufferPool, ClassReport};
 pub use set::{lease_cimage, lease_image, PoolSet};
 pub use stats::PoolStats;

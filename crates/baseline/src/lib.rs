@@ -15,8 +15,7 @@
 //!   correctness.
 //! * [`LayerwiseNet`] — the same semantics with each layer's edges
 //!   evaluated in parallel (rayon) and a **barrier between layers**,
-//!   standing in for the GPU baselines of Figs 8–9 (see DESIGN.md for
-//!   the substitution argument).
+//!   standing in for the GPU baselines of Figs 8–9.
 
 #![warn(missing_docs)]
 

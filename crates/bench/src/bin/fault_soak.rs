@@ -24,11 +24,10 @@
 //! and round count (CI keeps the recovery paths from rotting without
 //! paying for the full soak).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use znn_alloc::PoolSet;
-use znn_bench::{fmt, header, row, time_per_round};
+use znn_bench::{fmt, header, obj, row, time_per_round, write_report};
 use znn_core::{
     latest_valid, Checkpoint, CheckpointConfig, PlanPolicy, RandomDataset, TrainConfig,
     TrainOutcome, Trainer, Znn,
@@ -121,9 +120,7 @@ fn main() {
         rounds: if smoke { 8 } else { 24 },
     };
     let rounds = soak.rounds;
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"rounds\": {rounds},");
+    let mut report = obj! {"smoke": smoke, "rounds": rounds};
 
     // --- checkpoint cost: one atomic durable write, one restore -----
     let ckpt_dir = tmpdir("ckpt");
@@ -153,11 +150,14 @@ fn main() {
         println!("# fault soak — checkpoint cost\n");
         header(&["snapshot bytes", "write s", "restore s"]);
         row(&[bytes.to_string(), fmt(write_s), fmt(restore_s)]);
-        json.push_str("  \"checkpoint\": {\n");
-        let _ = writeln!(json, "    \"bytes\": {bytes},");
-        let _ = writeln!(json, "    \"checkpoint_write_s\": {write_s:.6e},");
-        let _ = writeln!(json, "    \"checkpoint_restore_s\": {restore_s:.6e}");
-        json.push_str("  },\n");
+        report.insert(
+            "checkpoint",
+            obj! {
+                "bytes": bytes,
+                "checkpoint_write_s": write_s,
+                "checkpoint_restore_s": restore_s,
+            },
+        );
     }
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
@@ -188,11 +188,14 @@ fn main() {
             fmt(rec_s),
             format!("{overhead_pct:.1}%"),
         ]);
-        json.push_str("  \"overhead\": {\n");
-        let _ = writeln!(json, "    \"plain_round_s\": {plain_s:.6e},");
-        let _ = writeln!(json, "    \"recoverable_round_s\": {rec_s:.6e},");
-        let _ = writeln!(json, "    \"overhead_pct_round\": {overhead_pct:.2}");
-        json.push_str("  },\n");
+        report.insert(
+            "overhead",
+            obj! {
+                "plain_round_s": plain_s,
+                "recoverable_round_s": rec_s,
+                "overhead_pct_round": overhead_pct,
+            },
+        );
     }
 
     // --- per-fault-class recovery ------------------------------------
@@ -283,25 +286,21 @@ fn main() {
             fmt(r.recovery_s),
         ]);
     }
-    json.push_str("  \"faults\": [\n");
-    let recs: Vec<String> = records
+    let recs: Vec<_> = records
         .iter()
         .map(|r| {
-            let mut s = format!(
-                "    {{\"kind\": \"{}\", \"survived\": {}, \"clean_s\": {:.6e}, \
-                 \"faulted_s\": {:.6e}, \"recovery_s\": {:.6e}",
-                r.kind, r.survived, r.clean_s, r.faulted_s, r.recovery_s
-            );
+            let mut rec = obj! {
+                "kind": r.kind, "survived": r.survived, "clean_s": r.clean_s,
+                "faulted_s": r.faulted_s, "recovery_s": r.recovery_s,
+            };
             if let Some(resume_s) = r.resume_s {
-                let _ = write!(s, ", \"resume_s\": {resume_s:.6e}");
+                rec.insert("resume_s", resume_s);
             }
-            s.push('}');
-            s
+            rec
         })
         .collect();
-    json.push_str(&recs.join(",\n"));
-    json.push_str("\n  ],\n");
-    let _ = writeln!(json, "  \"faults_survived\": {faults_survived},");
+    report.insert("faults", recs);
+    report.insert("faults_survived", faults_survived);
 
     // --- pooled-buffer conservation under unwinding ------------------
     {
@@ -321,12 +320,11 @@ fn main() {
         if leaked != 0 {
             println!("\nWARNING: {leaked} bytes still leased after unwinding — leak!");
         }
-        json.push_str("  \"pool\": {\n");
-        let _ = writeln!(json, "    \"pool_leaked_bytes\": {leaked},");
-        let _ = writeln!(json, "    \"pool_resident_bytes\": {resident}");
-        json.push_str("  }\n");
+        report.insert(
+            "pool",
+            obj! {"pool_leaked_bytes": leaked, "pool_resident_bytes": resident},
+        );
     }
-    json.push_str("}\n");
 
     println!(
         "\nshape check: all {} fault classes survive ({faults_survived} did) and zero\n\
@@ -337,14 +335,5 @@ fn main() {
         records.len()
     );
 
-    match std::fs::write("BENCH_fault.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_fault.json"),
-        Err(e) => {
-            // fail loudly: CI greps the file for these fields, and a
-            // swallowed write error would let that check pass vacuously
-            // against a stale committed copy
-            eprintln!("\ncould not write BENCH_fault.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_report("BENCH_fault.json", &report);
 }

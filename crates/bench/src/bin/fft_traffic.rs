@@ -53,24 +53,11 @@
 //! itself; both series land in `BENCH_fft.json` under
 //! `"spawn_compare"` so the trend is tracked.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use znn_alloc::PoolSet;
-use znn_bench::{fmt, header, row, time_per_round};
+use znn_bench::{fmt, header, obj, row, time_per_round, write_report, Json};
 use znn_fft::{good_shape, pow2_shape, spectra, FftEngine};
 use znn_tensor::{ops, Spectrum, Vec3};
-
-struct ThreadPoint {
-    threads: usize,
-    fwd_s: f64,
-    inv_s: f64,
-}
-
-struct SpawnPoint {
-    n: usize,
-    pool_s: f64,
-    spawn_s: f64,
-}
 
 /// The shared `(warmup, reps)` budget per cube size — one protocol for
 /// every section of `BENCH_fft.json`, so committed numbers from
@@ -113,11 +100,8 @@ fn main() {
         "c2c fwd s",
         "speedup",
     ]);
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"host_threads\": {host},");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    json.push_str("  \"sizes\": [\n");
-    let mut records: Vec<String> = Vec::new();
+    let mut report = obj! {"host_threads": host, "smoke": smoke};
+    let mut records = Vec::new();
     for &n in sizes {
         let m = Vec3::cube(n);
         let img = ops::random(m, 1);
@@ -141,7 +125,9 @@ fn main() {
             format!("{:.2}x", t_c2c / t_r2c),
         ]);
         // threads sweep on the r2c pipeline (forward + inverse)
-        let mut points = Vec::new();
+        println!("\n  {n}³ r2c transforms/sec by worker threads:");
+        header(&["threads", "fwd s", "fwd tps", "inv s", "inv tps"]);
+        let mut sweep = Vec::new();
         for &threads in &thread_counts {
             let te = FftEngine::with_threads(threads);
             let fwd_s = time_per_round(warm, reps, || {
@@ -159,49 +145,25 @@ fn main() {
                 std::hint::black_box(te.irfft3(base.clone()));
             }) - t_clone)
                 .max(f64::EPSILON);
-            points.push(ThreadPoint {
-                threads,
-                fwd_s,
-                inv_s,
+            row(&[
+                threads.to_string(),
+                fmt(fwd_s),
+                format!("{:.2}", 1.0 / fwd_s),
+                fmt(inv_s),
+                format!("{:.2}", 1.0 / inv_s),
+            ]);
+            sweep.push(obj! {
+                "threads": threads, "fwd_s": fwd_s, "fwd_tps": 1.0 / fwd_s,
+                "inv_s": inv_s, "inv_tps": 1.0 / inv_s,
             });
         }
-        let mut rec = String::new();
-        let _ = write!(
-            rec,
-            "    {{\"n\": {n}, \"r2c_bytes\": {r2c_bytes}, \"c2c_bytes\": {c2c_bytes}, \
-             \"r2c_fwd_s\": {t_r2c:.6e}, \"c2c_fwd_s\": {t_c2c:.6e}, \"threads\": ["
-        );
-        for (i, p) in points.iter().enumerate() {
-            let _ = write!(
-                rec,
-                "{}{{\"threads\": {}, \"fwd_s\": {:.6e}, \"fwd_tps\": {:.2}, \
-                 \"inv_s\": {:.6e}, \"inv_tps\": {:.2}}}",
-                if i > 0 { ", " } else { "" },
-                p.threads,
-                p.fwd_s,
-                1.0 / p.fwd_s,
-                p.inv_s,
-                1.0 / p.inv_s,
-            );
-        }
-        rec.push_str("]}");
-        records.push(rec);
-
-        println!("\n  {n}³ r2c transforms/sec by worker threads:");
-        header(&["threads", "fwd s", "fwd tps", "inv s", "inv tps"]);
-        for p in &points {
-            row(&[
-                p.threads.to_string(),
-                fmt(p.fwd_s),
-                format!("{:.2}", 1.0 / p.fwd_s),
-                fmt(p.inv_s),
-                format!("{:.2}", 1.0 / p.inv_s),
-            ]);
-        }
         println!();
+        records.push(obj! {
+            "n": n, "r2c_bytes": r2c_bytes, "c2c_bytes": c2c_bytes,
+            "r2c_fwd_s": t_r2c, "c2c_fwd_s": t_c2c, "threads": sweep,
+        });
     }
-    json.push_str(&records.join(",\n"));
-    json.push_str("\n  ]");
+    report.insert("sizes", records);
 
     // 5-smooth kernel comparison: the iterative mixed-radix Stockham
     // path vs the recursive fallback it replaced, at the 3D r2c level.
@@ -213,7 +175,6 @@ fn main() {
     let rec_engine = FftEngine::with_recursive_kernels();
     println!("\n# 5-smooth kernels — iterative Stockham vs recursive fallback (1 thread)\n");
     header(&["shape", "iterative s", "recursive s", "iterative speedup"]);
-    json.push_str(",\n  \"smooth_kernels\": [\n");
     let mut recs = Vec::new();
     for &n in smooth_sizes {
         let img = ops::random(Vec3::cube(n), 3);
@@ -230,14 +191,12 @@ fn main() {
             fmt(rec_s),
             format!("{:.2}x", rec_s / iter_s),
         ]);
-        recs.push(format!(
-            "    {{\"n\": {n}, \"iter_fwd_s\": {iter_s:.6e}, \"recursive_fwd_s\": {rec_s:.6e}, \
-             \"iter_speedup\": {:.2}}}",
-            rec_s / iter_s
-        ));
+        recs.push(obj! {
+            "n": n, "iter_fwd_s": iter_s, "recursive_fwd_s": rec_s,
+            "iter_speedup": rec_s / iter_s,
+        });
     }
-    json.push_str(&recs.join(",\n"));
-    json.push_str("\n  ]");
+    report.insert("smooth_kernels", recs);
 
     // Padding policy: 5-smooth good_shape vs the 2^k-only baseline —
     // padded voxels are transformed, multiplied, and (memoized) held
@@ -249,7 +208,6 @@ fn main() {
     };
     println!("\n# padding — 5-smooth good_shape vs 2^k-only baseline\n");
     header(&["raw", "good_shape", "voxels", "pow2 shape", "voxels", "saved"]);
-    json.push_str(",\n  \"padding\": [\n");
     let mut recs = Vec::new();
     for &n in raw_sizes {
         let raw = Vec3::cube(n);
@@ -265,14 +223,11 @@ fn main() {
             pv.to_string(),
             format!("{:.2}x", pv as f64 / sv as f64),
         ]);
-        recs.push(format!(
-            "    {{\"n\": {n}, \"smooth_voxels\": {sv}, \"pow2_voxels\": {pv}, \
-             \"savings\": {:.2}}}",
-            pv as f64 / sv as f64
-        ));
+        recs.push(obj! {
+            "n": n, "smooth_voxels": sv, "pow2_voxels": pv, "savings": pv as f64 / sv as f64,
+        });
     }
-    json.push_str(&recs.join(",\n"));
-    json.push_str("\n  ]");
+    report.insert("padding", recs);
 
     // Allocator traffic (§VII-C): the same per-round FFT-convolution
     // buffer pattern — two padded forward transforms, a derived flip
@@ -299,9 +254,6 @@ fn main() {
             "misses",
             "resident bytes",
         ]);
-        json.push_str(",\n  \"alloc\": {\n");
-        let _ = writeln!(json, "    \"n\": {n},");
-        json.push_str("    \"rounds\": [\n");
         let mut recs = Vec::new();
         let mut last = (0usize, 0usize, 0usize);
         let mut steady = (0usize, 0usize); // (churn, hits) of the last round
@@ -330,19 +282,22 @@ fn main() {
                 misses.to_string(),
                 s.bytes_from_system().to_string(),
             ]);
-            recs.push(format!(
-                "      {{\"round\": {round}, \"churn_bytes\": {churn}, \"allocs_avoided\": {hits}, \
-                 \"misses\": {misses}, \"resident_bytes\": {}}}",
-                s.bytes_from_system()
-            ));
+            recs.push(obj! {
+                "round": round, "churn_bytes": churn, "allocs_avoided": hits,
+                "misses": misses, "resident_bytes": s.bytes_from_system(),
+            });
         }
-        json.push_str(&recs.join(",\n"));
-        json.push_str("\n    ],\n");
-        let _ = writeln!(json, "    \"churn_bytes_round\": {},", steady.0);
-        let _ = writeln!(json, "    \"allocs_avoided_round\": {},", steady.1);
-        let _ = writeln!(json, "    \"hit_rate\": {:.4},", pools.hit_rate());
-        let _ = writeln!(json, "    \"resident_bytes\": {}", pools.resident_bytes());
-        json.push_str("  }");
+        report.insert(
+            "alloc",
+            obj! {
+                "n": n,
+                "rounds": recs,
+                "churn_bytes_round": steady.0,
+                "allocs_avoided_round": steady.1,
+                "hit_rate": pools.hit_rate(),
+                "resident_bytes": pools.resident_bytes(),
+            },
+        );
         println!(
             "\nshape check: resident bytes freeze after the first rounds while\n\
              churn keeps flowing — steady-state rounds recycle {} bytes with a\n\
@@ -365,7 +320,6 @@ fn main() {
         let w_dilated = znn_tensor::pad::dilate(&w, Vec3::cube(2));
         println!("\n# pruned — full-box vs box-pruned r2c/c2r stages (1 thread)\n");
         header(&["case", "full µs", "pruned µs", "speedup", "full lines", "pruned lines"]);
-        json.push_str(",\n  \"pruned\": [\n");
         let mut recs = Vec::new();
         let mut push = |case: &str, n: Vec3, m: Vec3, full_s: f64, pruned_s: f64, full: [usize; 3], pruned: [usize; 3]| {
             let (full_us, pruned_us) = (full_s * 1e6, pruned_s * 1e6);
@@ -377,14 +331,10 @@ fn main() {
                 format!("{full:?}"),
                 format!("{pruned:?}"),
             ]);
-            recs.push(format!(
-                "    {{\"case\": \"{case}\", \"n\": {}, \"m\": {}, \"full_us\": {full_us:.2}, \
-                 \"pruned_us\": {pruned_us:.2}, \"speedup\": {:.2}, \"full_lines\": {full:?}, \
-                 \"pruned_lines\": {pruned:?}}}",
-                n[0],
-                m[0],
-                full_us / pruned_us
-            ));
+            recs.push(obj! {
+                "case": case, "n": n[0], "m": m[0], "full_us": full_us, "pruned_us": pruned_us,
+                "speedup": full_us / pruned_us, "full_lines": full.to_vec(), "pruned_lines": pruned.to_vec(),
+            });
         };
         for &p in pads {
             let m = Vec3::cube(p);
@@ -431,8 +381,7 @@ fn main() {
                 FftEngine::inverse_stage_lines(m, crop),
             );
         }
-        json.push_str(&recs.join(",\n"));
-        json.push_str("\n  ]");
+        report.insert("pruned", recs);
     }
 
     if spawn_compare {
@@ -447,7 +396,7 @@ fn main() {
         let spawny = FftEngine::with_spawn_per_call(2).par_threshold(1);
         println!("\n# spawn-compare — persistent pool vs spawn-per-call (2-way split)\n");
         header(&["shape", "pool s", "pool tps", "spawn s", "spawn tps", "pool speedup"]);
-        let mut points = Vec::new();
+        let (mut recs, mut losses) = (Vec::new(), Vec::new());
         for &n in cmp_sizes {
             let img = ops::random(Vec3::cube(n), 7);
             let (warm, reps) = reps_for(n);
@@ -465,35 +414,20 @@ fn main() {
                 format!("{:.2}", 1.0 / spawn_s),
                 format!("{:.2}x", spawn_s / pool_s),
             ]);
-            points.push(SpawnPoint { n, pool_s, spawn_s });
+            recs.push(obj! {
+                "n": n, "pool_fwd_s": pool_s, "pool_tps": 1.0 / pool_s,
+                "spawn_fwd_s": spawn_s, "spawn_tps": 1.0 / spawn_s,
+            });
+            if n <= 32 && pool_s > spawn_s {
+                losses.push(n);
+            }
         }
-        let losses: Vec<usize> = points
-            .iter()
-            .filter(|p| p.n <= 32 && p.pool_s > p.spawn_s)
-            .map(|p| p.n)
-            .collect();
         if losses.is_empty() {
             println!("\ntrend ok: the pool wins at every size ≤ 32³");
         } else {
             println!("\nWARNING: spawn-per-call beat the pool at {losses:?} — regression?");
         }
-        json.push_str(",\n  \"spawn_compare\": [\n");
-        let recs: Vec<String> = points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\"n\": {}, \"pool_fwd_s\": {:.6e}, \"pool_tps\": {:.2}, \
-                     \"spawn_fwd_s\": {:.6e}, \"spawn_tps\": {:.2}}}",
-                    p.n,
-                    p.pool_s,
-                    1.0 / p.pool_s,
-                    p.spawn_s,
-                    1.0 / p.spawn_s,
-                )
-            })
-            .collect();
-        json.push_str(&recs.join(",\n"));
-        json.push_str("\n  ]");
+        report.insert("spawn_compare", recs);
     }
 
     // SIMD microkernels: the dispatched vector kernels vs two
@@ -528,7 +462,7 @@ fn main() {
             scalar_s: f64,
             autovec_s: f64,
             simd_s: f64,
-            recs: &mut Vec<String>,
+            recs: &mut Vec<Json>,
         ) {
             row(&[
                 name.to_string(),
@@ -538,13 +472,10 @@ fn main() {
                 format!("{:.2}x", scalar_s / simd_s),
                 format!("{:.2}x", autovec_s / simd_s),
             ]);
-            recs.push(format!(
-                "      {{\"kernel\": \"{name}\", \"scalar_s\": {scalar_s:.6e}, \
-                 \"autovec_s\": {autovec_s:.6e}, \"simd_s\": {simd_s:.6e}, \
-                 \"speedup\": {:.2}, \"autovec_speedup\": {:.2}}}",
-                scalar_s / simd_s,
-                autovec_s / simd_s
-            ));
+            recs.push(obj! {
+                "kernel": name, "scalar_s": scalar_s, "autovec_s": autovec_s, "simd_s": simd_s,
+                "speedup": scalar_s / simd_s, "autovec_speedup": autovec_s / simd_s,
+            });
         }
 
         println!(
@@ -560,10 +491,6 @@ fn main() {
             "vs scalar",
             "vs autovec",
         ]);
-        json.push_str(",\n  \"simd\": {\n");
-        let _ = writeln!(json, "    \"isa\": \"{}\",", znn_simd::isa_name());
-        let _ = writeln!(json, "    \"forced_scalar\": {},", znn_simd::forced_scalar());
-        json.push_str("    \"kernels\": [\n");
         let mut recs = Vec::new();
 
         // one length per radix family, batched to ~64k elements per
@@ -722,8 +649,6 @@ fn main() {
         });
         push_kernel("conv_fma_row", scalar_s, autovec_s, simd_s, &mut recs);
 
-        json.push_str(&recs.join(",\n"));
-        json.push_str("\n    ],\n");
 
         // end to end: the whole 64³ r2c forward pipeline, default
         // engine vs pinned-scalar kernels on one thread
@@ -747,15 +672,20 @@ fn main() {
             format!("{:.2}x", scalar_fwd / simd_fwd),
             format!("{:.2}x", scalar_fwd / simd_fwd),
         ]);
-        let _ = writeln!(
-            json,
-            "    \"e2e_64\": {{\"scalar_fwd_s\": {scalar_fwd:.6e}, \
-             \"simd_fwd_s\": {simd_fwd:.6e}, \"speedup\": {:.2}}}",
-            scalar_fwd / simd_fwd
+        report.insert(
+            "simd",
+            obj! {
+                "isa": znn_simd::isa_name(),
+                "forced_scalar": znn_simd::forced_scalar(),
+                "kernels": recs,
+                "e2e_64": obj! {
+                    "scalar_fwd_s": scalar_fwd,
+                    "simd_fwd_s": simd_fwd,
+                    "speedup": scalar_fwd / simd_fwd,
+                },
+            },
         );
-        json.push_str("  }");
     }
-    json.push_str("\n}\n");
 
     println!("shape check: bytes ratio tends to 1/2 (exactly (⌊n/2⌋+1)/n");
     println!("per packed line) and the r2c transform speedup approaches ~2x");
@@ -772,14 +702,5 @@ fn main() {
         Spectrum::zeros(m).full_bytes(),
     );
 
-    match std::fs::write("BENCH_fft.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_fft.json"),
-        Err(e) => {
-            // fail loudly: CI greps the file for the spawn-compare
-            // fields, and a swallowed write error would let that
-            // check pass vacuously against a stale committed copy
-            eprintln!("\ncould not write BENCH_fft.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_report("BENCH_fft.json", &report);
 }

@@ -4,7 +4,8 @@
 //!
 //! The four paper machines are reproduced by the discrete-event
 //! simulator executing the real task graph under the real priority
-//! policy (see DESIGN.md for the substitution argument). Pass
+//! policy (the `znn-sim` crate docs say what it models and what it
+//! abstracts away). Pass
 //! `--host` to also measure true wall-clock speedup on this machine's
 //! threads with the real engine (only meaningful on multi-core hosts).
 

@@ -3,7 +3,7 @@
 //!
 //! The paper ran Caffe/Theano on a Titan X; our comparator is the
 //! layer-at-a-time direct-convolution engine (`znn-baseline`) — the
-//! algorithmic content of those frameworks (see DESIGN.md). ZNN runs
+//! algorithmic content of those frameworks. ZNN runs
 //! its FFT path with memoization, as its autotuner chose in the paper.
 //! Sizes are scaled down from the paper's width-40 nets so the sweep
 //! finishes on a laptop; the *crossover shape* is the result: ZNN wins

@@ -4,7 +4,7 @@
 //! buffer now leases from a `PoolSet` — and the memory cost of FFT
 //! memoization vs the speed it buys.
 
-use znn_alloc::{ImagePool, PoolSet};
+use znn_alloc::PoolSet;
 use znn_bench::{fmt, header, row, time_per_round};
 use znn_core::{PlanPolicy, TrainConfig, Znn};
 use znn_graph::builder::comparison_net;
@@ -13,13 +13,12 @@ use znn_tensor::{ops, Vec3};
 
 fn main() {
     println!("# §VII-C — pooled allocator footprint across training-like rounds\n");
-    let pool = ImagePool::new();
+    let pool = PoolSet::new();
     header(&["round", "bytes from system", "hits", "misses"]);
     for round in 0..6 {
-        let imgs: Vec<_> = (1..8).map(|s| pool.get(Vec3::cube(4 * s))).collect();
-        for img in imgs {
-            pool.put(img);
-        }
+        // a round's working set, recycled when the leases drop
+        let imgs: Vec<_> = (1..8).map(|s| pool.image(Vec3::cube(4 * s))).collect();
+        drop(imgs);
         row(&[
             round.to_string(),
             pool.stats().bytes_from_system().to_string(),

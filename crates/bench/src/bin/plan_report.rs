@@ -19,9 +19,9 @@
 //!
 //! `--smoke` shrinks nets and round counts for CI.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
+use znn_bench::{obj, write_report, Json};
 use znn_core::{PlanPolicy, TrainConfig, Znn};
 use znn_graph::builder::{comparison_net, scalability_net_2d, scalability_net_3d};
 use znn_graph::{EdgeOp, Graph};
@@ -38,15 +38,6 @@ struct NetCase {
     name: &'static str,
     graph: Graph,
     out: Vec3,
-}
-
-struct FixedResult {
-    label: String,
-    method: ConvMethod,
-    fft_threads: usize,
-    pow2: bool,
-    predicted_us: f64,
-    measured_us: f64,
 }
 
 fn nets(smoke: bool) -> Vec<NetCase> {
@@ -116,16 +107,16 @@ fn main() {
         machine.name, machine.cores, machine.gflops, machine.bandwidth_gbs
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"workers\": {workers},");
-    let _ = writeln!(
-        json,
-        "  \"machine\": {{\"name\": \"{}\", \"cores\": {}, \"gflops\": {:.3}, \
-         \"bandwidth_gbs\": {:.3}}},",
-        machine.name, machine.cores, machine.gflops, machine.bandwidth_gbs
-    );
-    json.push_str("  \"nets\": [\n");
+    let mut report = obj! {
+        "smoke": smoke,
+        "workers": workers,
+        "machine": obj! {
+            "name": machine.name,
+            "cores": machine.cores,
+            "gflops": machine.gflops,
+            "bandwidth_gbs": machine.bandwidth_gbs,
+        },
+    };
 
     let mut all_pass = true;
     let mut net_records = Vec::new();
@@ -155,7 +146,7 @@ fn main() {
             grid.push((ConvMethod::Fft, fan, false));
             grid.push((ConvMethod::Fft, fan, true));
         }
-        let mut fixed = Vec::new();
+        let (mut fixed, mut best) = (Vec::new(), f64::INFINITY);
         for (method, fan, pow2) in grid {
             let forced =
                 Arc::new(NetPlan::force(&case.graph, case.out, method, fan, pow2).unwrap());
@@ -179,13 +170,10 @@ fn main() {
                 if pow2 { "_pow2" } else { "" }
             );
             println!("  fixed {label:>14}: predicted {predicted_us:>8.0}µs, measured {measured_us:>8.0}µs");
-            fixed.push(FixedResult {
-                label,
-                method,
-                fft_threads: fan,
-                pow2,
-                predicted_us,
-                measured_us,
+            best = best.min(measured_us);
+            fixed.push(obj! {
+                "strategy": label, "method": format!("{method:?}"), "fft_threads": fan,
+                "pow2": pow2, "predicted_us": predicted_us, "measured_us": measured_us,
             });
         }
         // enough rounds that calibration (default: after 3) engages
@@ -198,10 +186,6 @@ fn main() {
             .map(|r| r.predicted_us)
             .unwrap_or(prior_us);
 
-        let best = fixed
-            .iter()
-            .map(|f| f.measured_us)
-            .fold(f64::INFINITY, f64::min);
         let gap = auto_us / best;
         let pass = gap <= GAP_BOUND || auto_us - best <= ABS_SLACK_US;
         all_pass &= pass;
@@ -214,79 +198,51 @@ fn main() {
             if pass { "pass" } else { "FAIL" }
         );
 
-        let mut rec = String::new();
-        let _ = writeln!(rec, "    {{\"net\": \"{}\",", case.name);
-        let _ = writeln!(rec, "     \"fft_threads\": {},", plan.fft_threads);
         // the per-edge chosen plan, deduped by conv geometry
-        let mut seen: Vec<String> = Vec::new();
-        let mut layers = Vec::new();
+        let mut layers: Vec<Json> = Vec::new();
         for (i, e) in case.graph.edges().iter().enumerate() {
             if let EdgeOp::Conv { kernel, .. } = e.op {
                 let ep = plan.edges[i].unwrap();
-                let key = format!(
-                    "{{\"kernel\": \"{kernel}\", \"method\": \"{:?}\", \"pad\": \"{}\", \
-                     \"predicted_us\": {:.1}}}",
-                    ep.method, ep.pad, ep.predicted_us
-                );
-                if !seen.contains(&key) {
-                    seen.push(key.clone());
-                    layers.push(format!("       {key}"));
+                let layer = obj! {
+                    "kernel": kernel.to_string(),
+                    "method": format!("{:?}", ep.method),
+                    "pad": ep.pad.to_string(),
+                    "predicted_us": ep.predicted_us,
+                };
+                if !layers.contains(&layer) {
+                    layers.push(layer);
                 }
             }
         }
-        let _ = writeln!(rec, "     \"layers\": [\n{}\n     ],", layers.join(",\n"));
-        let _ = writeln!(rec, "     \"predicted_round_us_prior\": {prior_us:.1},");
-        let _ = writeln!(
-            rec,
-            "     \"predicted_round_us_calibrated\": {calibrated_us:.1},"
-        );
-        let _ = writeln!(rec, "     \"auto_measured_us\": {auto_us:.1},");
-        let cal_rows: Vec<String> = cal
+        let calibration: Vec<_> = cal
             .rounds
             .iter()
             .map(|r| {
-                format!(
-                    "       {{\"round\": {}, \"predicted_us\": {:.1}, \"measured_us\": {:.1}, \
-                     \"scale\": {:.4}}}",
-                    r.round, r.predicted_us, r.measured_us, r.scale
-                )
+                obj! {
+                    "round": r.round, "predicted_us": r.predicted_us,
+                    "measured_us": r.measured_us, "scale": r.scale,
+                }
             })
             .collect();
-        let _ = writeln!(
-            rec,
-            "     \"calibration\": [\n{}\n     ],",
-            cal_rows.join(",\n")
-        );
-        let _ = writeln!(rec, "     \"replans\": {},", cal.replans);
-        let fixed_rows: Vec<String> = fixed
-            .iter()
-            .map(|f| {
-                format!(
-                    "       {{\"strategy\": \"{}\", \"method\": \"{:?}\", \"fft_threads\": {}, \
-                     \"pow2\": {}, \"predicted_us\": {:.1}, \"measured_us\": {:.1}}}",
-                    f.label, f.method, f.fft_threads, f.pow2, f.predicted_us, f.measured_us
-                )
-            })
-            .collect();
-        let _ = writeln!(rec, "     \"fixed\": [\n{}\n     ],", fixed_rows.join(",\n"));
-        let _ = writeln!(rec, "     \"best_fixed_us\": {best:.1},");
-        let _ = writeln!(rec, "     \"gap\": {gap:.4},");
-        let _ = write!(rec, "     \"verdict\": \"{}\"}}", if pass { "pass" } else { "fail" });
-        net_records.push(rec);
+        net_records.push(obj! {
+            "net": case.name,
+            "fft_threads": plan.fft_threads,
+            "layers": layers,
+            "predicted_round_us_prior": prior_us,
+            "predicted_round_us_calibrated": calibrated_us,
+            "auto_measured_us": auto_us,
+            "calibration": calibration,
+            "replans": cal.replans,
+            "fixed": fixed,
+            "best_fixed_us": best,
+            "gap": gap,
+            "verdict": if pass { "pass" } else { "fail" },
+        });
     }
-    json.push_str(&net_records.join(",\n"));
-    json.push_str("\n  ],\n");
-    let _ = writeln!(json, "  \"gap_bound\": {GAP_BOUND},");
-    let _ = writeln!(json, "  \"all_pass\": {all_pass}");
-    json.push_str("}\n");
-
-    match std::fs::write("BENCH_plan.json", &json) {
-        Ok(()) => println!("wrote BENCH_plan.json"),
-        Err(e) => {
-            eprintln!("could not write BENCH_plan.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    report.insert("nets", net_records);
+    report.insert("gap_bound", GAP_BOUND);
+    report.insert("all_pass", all_pass);
+    write_report("BENCH_plan.json", &report);
     if !all_pass {
         eprintln!("verdict failed: Auto exceeded the {GAP_BOUND}x gap bound on some net");
         std::process::exit(1);

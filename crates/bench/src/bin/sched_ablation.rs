@@ -11,8 +11,7 @@
 //! network plus the host rows — so the scheduling trajectory is
 //! tracked across PRs like every other bench bin.
 
-use std::fmt::Write as _;
-use znn_bench::{fmt, header, row, time_per_round};
+use znn_bench::{fmt, header, obj, row, time_per_round, write_report};
 use znn_core::{PlanPolicy, TrainConfig, Znn};
 use znn_graph::builder::{scalability_net_2d, scalability_net_3d};
 use znn_ops::ConvMethod;
@@ -28,11 +27,6 @@ fn main() {
     let sim_rounds = if smoke { 1 } else { 2 };
     println!("# §X — scheduling ablation (simulated makespan, lower is better)\n");
     let machine = Machine::xeon_e5_18core();
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"sim_machine\": \"{}\",", machine.name);
-    let _ = writeln!(json, "  \"sim_workers\": 18,");
-    json.push_str("  \"simulated\": [\n");
     header(&["network", "priority", "fifo", "lifo", "binary-heap"]);
     let mut recs = Vec::new();
     for (name, key, tgc) in [
@@ -67,13 +61,17 @@ fn main() {
             run(QueuePolicy::BinaryHeap),
         );
         row(&[name.clone(), fmt(pri), fmt(fifo), fmt(lifo), fmt(heap)]);
-        recs.push(format!(
-            "    {{\"net\": \"{key}\", \"width\": {width}, \"priority_s\": {pri:.6e}, \
-             \"fifo_s\": {fifo:.6e}, \"lifo_s\": {lifo:.6e}, \"binary_heap_s\": {heap:.6e}}}"
-        ));
+        recs.push(obj! {
+            "net": key, "width": width, "priority_s": pri,
+            "fifo_s": fifo, "lifo_s": lifo, "binary_heap_s": heap,
+        });
     }
-    json.push_str(&recs.join(",\n"));
-    json.push_str("\n  ],\n");
+    let mut report = obj! {
+        "smoke": smoke,
+        "sim_machine": machine.name,
+        "sim_workers": 18,
+        "simulated": recs,
+    };
     println!("\n(binary-heap shares the priority *order* — same makespan — but");
     println!("pays O(log N) per queue op instead of O(log K); see the `queue`");
     println!("criterion bench for the data-structure cost.)\n");
@@ -87,7 +85,6 @@ fn main() {
         &[QueuePolicy::Priority, QueuePolicy::Fifo, QueuePolicy::Lifo]
     };
     let (warm, reps) = if smoke { (0, 1) } else { (1, 4) };
-    json.push_str("  \"host\": [\n");
     let mut recs = Vec::new();
     for &policy in policies {
         let cfg = TrainConfig {
@@ -103,18 +100,8 @@ fn main() {
             znn.train_step(std::slice::from_ref(&x), std::slice::from_ref(&t));
         });
         row(&[format!("{policy:?}"), fmt(dt)]);
-        recs.push(format!(
-            "    {{\"policy\": \"{policy:?}\", \"s_per_update\": {dt:.6e}}}"
-        ));
+        recs.push(obj! {"policy": format!("{policy:?}"), "s_per_update": dt});
     }
-    json.push_str(&recs.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-
-    match std::fs::write("BENCH_sched.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_sched.json"),
-        Err(e) => {
-            eprintln!("\ncould not write BENCH_sched.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    report.insert("host", recs);
+    write_report("BENCH_sched.json", &report);
 }

@@ -31,11 +31,10 @@
 //! so CI's `--smoke` run gates the overload-safety properties, not
 //! just the numbers' existence.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use znn_alloc::PoolSet;
-use znn_bench::{fmt, header, row};
+use znn_bench::{fmt, header, obj, row, write_report};
 use znn_core::{DenseConfig, DenseNet};
 use znn_fault::{FaultKind, FaultPlan};
 use znn_graph::NetBuilder;
@@ -126,8 +125,6 @@ fn main() {
     let input = ops::random(in_shape, 11);
     let block = Vec3::flat(10, 10);
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
     let mut failures: Vec<&'static str> = Vec::new();
     // workers beyond the core count oversubscribe and inflate every
     // concurrent service time, which is overload the *machine* causes,
@@ -135,7 +132,7 @@ fn main() {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get().min(2))
         .unwrap_or(1);
-    let _ = writeln!(json, "  \"workers\": {workers},");
+    let mut report = obj! {"smoke": smoke, "workers": workers};
 
     // --- uncontended latency floor ----------------------------------
     let (p50_idle, p99_idle, volumes_per_s) = {
@@ -166,11 +163,10 @@ fn main() {
     println!("# serve soak — uncontended floor\n");
     header(&["p50 s", "p99 s", "volumes/s"]);
     row(&[fmt(p50_idle), fmt(p99_idle), format!("{volumes_per_s:.1}")]);
-    json.push_str("  \"uncontended\": {\n");
-    let _ = writeln!(json, "    \"p50_s\": {p50_idle:.6e},");
-    let _ = writeln!(json, "    \"p99_s\": {p99_idle:.6e},");
-    let _ = writeln!(json, "    \"volumes_per_s\": {volumes_per_s:.2}");
-    json.push_str("  },\n");
+    report.insert(
+        "uncontended",
+        obj! {"p50_s": p50_idle, "p99_s": p99_idle, "volumes_per_s": volumes_per_s},
+    );
 
     // --- overload at 2× capacity ------------------------------------
     // same server shape for baseline and overload; only the arrival
@@ -215,15 +211,18 @@ fn main() {
         format!("{:.1}%", 100.0 * shed_rate),
         format!("{p99_ratio:.2}"),
     ]);
-    json.push_str("  \"overload\": {\n");
-    let _ = writeln!(json, "    \"p50_s\": {p50_over:.6e},");
-    let _ = writeln!(json, "    \"p99_s\": {p99_over:.6e},");
-    let _ = writeln!(json, "    \"p99_baseline_s\": {p99_base:.6e},");
-    let _ = writeln!(json, "    \"shed_rate\": {shed_rate:.4},");
-    let _ = writeln!(json, "    \"p99_ratio\": {p99_ratio:.3},");
-    let _ = writeln!(json, "    \"shed_under_overload\": {shed_under_overload},");
-    let _ = writeln!(json, "    \"p99_bounded\": {p99_bounded}");
-    json.push_str("  },\n");
+    report.insert(
+        "overload",
+        obj! {
+            "p50_s": p50_over,
+            "p99_s": p99_over,
+            "p99_baseline_s": p99_base,
+            "shed_rate": shed_rate,
+            "p99_ratio": p99_ratio,
+            "shed_under_overload": shed_under_overload,
+            "p99_bounded": p99_bounded,
+        },
+    );
 
     // --- degradation ladder under pressure --------------------------
     let (degraded_batches, degrade_shed_rate) = {
@@ -250,11 +249,14 @@ fn main() {
         format!("{:.1}%", 100.0 * degrade_shed_rate),
         ladder_engaged.to_string(),
     ]);
-    json.push_str("  \"degrade\": {\n");
-    let _ = writeln!(json, "    \"degraded_batches\": {degraded_batches},");
-    let _ = writeln!(json, "    \"shed_rate\": {degrade_shed_rate:.4},");
-    let _ = writeln!(json, "    \"ladder_engaged\": {ladder_engaged}");
-    json.push_str("  },\n");
+    report.insert(
+        "degrade",
+        obj! {
+            "degraded_batches": degraded_batches,
+            "shed_rate": degrade_shed_rate,
+            "ladder_engaged": ladder_engaged,
+        },
+    );
 
     // pool baseline once every size class is warm: the uncontended and
     // overload phases leased the full-block windows, the degradation
@@ -262,7 +264,7 @@ fn main() {
     let resident_baseline = pools.resident_bytes();
 
     // --- fault mix under deadlines ----------------------------------
-    let fault_stats = {
+    {
         let slow = Duration::from_millis(40);
         let plan = Arc::new(
             FaultPlan::new()
@@ -346,22 +348,19 @@ fn main() {
             stats.lease_refused.to_string(),
             survived.to_string(),
         ]);
-        json.push_str("  \"faults\": {\n");
-        let _ = writeln!(json, "    \"requests\": {n},");
-        let _ = writeln!(json, "    \"completed\": {},", stats.completed);
-        let _ = writeln!(json, "    \"deadline_missed\": {},", stats.deadline_missed);
-        let _ = writeln!(
-            json,
-            "    \"deadline_miss_rate\": {:.4},",
-            stats.deadline_miss_rate()
+        report.insert(
+            "faults",
+            obj! {
+                "requests": n,
+                "completed": stats.completed,
+                "deadline_missed": stats.deadline_missed,
+                "deadline_miss_rate": stats.deadline_miss_rate(),
+                "panicked": stats.panicked,
+                "lease_refused": stats.lease_refused,
+                "survived": survived,
+            },
         );
-        let _ = writeln!(json, "    \"panicked\": {},", stats.panicked);
-        let _ = writeln!(json, "    \"lease_refused\": {},", stats.lease_refused);
-        let _ = writeln!(json, "    \"survived\": {survived}");
-        json.push_str("  },\n");
-        stats
-    };
-    let _ = fault_stats;
+    }
 
     // --- flat memory + zero leaks -----------------------------------
     // all three phases served the same input shape through the same
@@ -385,15 +384,17 @@ fn main() {
         leaked.to_string(),
         resident_flat.to_string(),
     ]);
-    json.push_str("  \"pool\": {\n");
-    let _ = writeln!(json, "    \"resident_baseline_bytes\": {resident_baseline},");
-    let _ = writeln!(json, "    \"resident_end_bytes\": {resident_end},");
-    let _ = writeln!(json, "    \"resident_flat\": {resident_flat},");
-    let _ = writeln!(json, "    \"pool_leaked_bytes\": {leaked}");
-    json.push_str("  },\n");
+    report.insert(
+        "pool",
+        obj! {
+            "resident_baseline_bytes": resident_baseline,
+            "resident_end_bytes": resident_end,
+            "resident_flat": resident_flat,
+            "pool_leaked_bytes": leaked,
+        },
+    );
     let verdict = failures.is_empty();
-    let _ = writeln!(json, "  \"verdict\": {verdict}");
-    json.push_str("}\n");
+    report.insert("verdict", verdict);
 
     println!(
         "\nshape check: the server sheds typed at the watermark instead of\n\
@@ -402,15 +403,7 @@ fn main() {
          the whole soak out of a flat pool."
     );
 
-    match std::fs::write("BENCH_serve.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_serve.json"),
-        Err(e) => {
-            // fail loudly: CI greps the file for these fields, and a
-            // swallowed write error would let that check pass vacuously
-            eprintln!("\ncould not write BENCH_serve.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_report("BENCH_serve.json", &report);
     if !verdict {
         for f in &failures {
             eprintln!("FAILED VERDICT: {f}");

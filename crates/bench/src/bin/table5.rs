@@ -4,7 +4,7 @@ use znn_bench::{header, row};
 use znn_sim::Machine;
 
 fn main() {
-    println!("# Table V — machines (simulated models; see DESIGN.md)\n");
+    println!("# Table V — machines (simulated models)\n");
     header(&[
         "CPU", "GHz", "cores/threads", "SMT throughput curve", "peak throughput (1-thread units)",
     ]);

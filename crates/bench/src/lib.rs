@@ -1,8 +1,13 @@
 //! Shared plumbing for the benchmark harness binaries that regenerate
-//! every table and figure of the paper (see DESIGN.md §3 for the
-//! experiment index and EXPERIMENTS.md for recorded results).
+//! every table and figure of the paper (the README's "Benchmarks"
+//! section lists the bins and the `BENCH_*.json` records they write;
+//! every record goes through [`report`]).
 
 #![warn(missing_docs)]
+
+pub mod report;
+
+pub use report::{write_report, Json};
 
 use std::time::Instant;
 

@@ -1,5 +1,5 @@
 //! Synthetic training data (the substitution for the paper's EM /
-//! ImageNet volumes — see DESIGN.md).
+//! ImageNet volumes).
 //!
 //! Throughput experiments only need correctly-shaped samples; the
 //! convergence tests and the boundary-detection example use

@@ -77,36 +77,6 @@ impl RoundStats {
     }
 }
 
-/// The engine's scheduler: the paper's priority executor or the §X
-/// work-stealing alternative.
-enum Pool {
-    Queue(Executor),
-    Stealing(StealingExecutor),
-}
-
-impl Pool {
-    fn submit(&self, priority: u64, task: znn_sched::Task) {
-        match self {
-            Pool::Queue(e) => e.submit(priority, task),
-            Pool::Stealing(e) => e.submit(priority, task),
-        }
-    }
-
-    fn stats(&self) -> znn_sched::SchedStats {
-        match self {
-            Pool::Queue(e) => e.stats(),
-            Pool::Stealing(e) => e.stats(),
-        }
-    }
-
-    fn wait_quiescent(&self) {
-        match self {
-            Pool::Queue(e) => e.wait_quiescent(),
-            Pool::Stealing(e) => e.wait_quiescent(),
-        }
-    }
-}
-
 struct Inner {
     graph: Graph,
     node_shape: Vec<Vec3>,
@@ -116,7 +86,9 @@ struct Inner {
     bwd_prio: Vec<u64>,
     fft: Arc<FftEngine>,
     cfg: TrainConfig,
-    sched: Pool,
+    /// The paper's priority executor or the §X work-stealing
+    /// alternative (`TrainConfig::work_stealing`).
+    sched: Box<dyn Scheduler>,
     fwd_latch: Latch,
     bwd_latch: Latch,
     training: AtomicBool,
@@ -264,13 +236,13 @@ impl Znn {
         }
         fft.set_threads(net_plan.fft_threads.min(fft_budget));
 
-        let sched = if cfg.work_stealing {
-            Pool::Stealing(StealingExecutor::with_donation(
+        let sched: Box<dyn Scheduler> = if cfg.work_stealing {
+            Box::new(StealingExecutor::with_donation(
                 cfg.workers,
                 Arc::clone(&fft_pool),
             ))
         } else {
-            Pool::Queue(Executor::with_donation(
+            Box::new(Executor::with_donation(
                 cfg.workers,
                 cfg.queue,
                 Arc::clone(&fft_pool),

@@ -88,8 +88,8 @@
 //! the parity baseline for tests and benchmarks.
 //!
 //! The paper used MKL/fftw; the planned-1D-transform decomposition here
-//! replaces them (see DESIGN.md — same asymptotics, different
-//! constant).
+//! replaces them (same asymptotics, different constant; the kernels are
+//! described in `docs/ARCHITECTURE.md` §2).
 
 #![warn(missing_docs)]
 

@@ -62,6 +62,9 @@ pub trait Scheduler: Send + Sync {
     fn queue_depth(&self) -> u64 {
         self.stats().queue_depth
     }
+    /// Blocks until every submitted task has run and no worker is
+    /// busy. Only meaningful when no external thread keeps submitting.
+    fn wait_quiescent(&self);
 }
 
 /// Counters describing scheduler activity.
@@ -237,23 +240,6 @@ impl Executor {
     pub fn queue_depth(&self) -> u64 {
         self.shared.depth.load(Ordering::Acquire)
     }
-
-    /// Blocks until the queue is empty **and** every worker is idle.
-    /// Only meaningful when no external thread keeps submitting.
-    pub fn wait_quiescent(&self) {
-        let mut guard = self.shared.idle_lock.lock();
-        loop {
-            let queue_empty = self.shared.queue.lock().is_empty();
-            let all_idle =
-                self.shared.idle_workers.load(Ordering::SeqCst) == self.shared.workers;
-            if queue_empty && all_idle {
-                return;
-            }
-            self.shared
-                .idle_cond
-                .wait_for(&mut guard, std::time::Duration::from_millis(1));
-        }
-    }
 }
 
 impl Scheduler for Executor {
@@ -284,6 +270,22 @@ impl Scheduler for Executor {
                 .as_ref()
                 .map(|p| p.detached_panics())
                 .unwrap_or(0),
+        }
+    }
+
+    /// Blocks until the queue is empty **and** every worker is idle.
+    fn wait_quiescent(&self) {
+        let mut guard = self.shared.idle_lock.lock();
+        loop {
+            let queue_empty = self.shared.queue.lock().is_empty();
+            let all_idle =
+                self.shared.idle_workers.load(Ordering::SeqCst) == self.shared.workers;
+            if queue_empty && all_idle {
+                return;
+            }
+            self.shared
+                .idle_cond
+                .wait_for(&mut guard, std::time::Duration::from_millis(1));
         }
     }
 }

@@ -56,19 +56,6 @@ pub struct StealingExecutor {
 static POOL_IDS: AtomicU64 = AtomicU64::new(0);
 
 impl StealingExecutor {
-    /// Blocks until every submitted task has executed. Only meaningful
-    /// when no external thread keeps submitting.
-    pub fn wait_quiescent(&self) {
-        loop {
-            let submitted = self.pool.submitted.load(Ordering::Acquire);
-            let executed = self.pool.executed.load(Ordering::Acquire);
-            if submitted == executed {
-                return;
-            }
-            std::thread::yield_now();
-        }
-    }
-
     /// Submitted-but-unfinished tasks right now (includes tasks
     /// currently executing — there is no central queue to measure) —
     /// the lock-free backpressure gauge, matching
@@ -251,6 +238,18 @@ impl Scheduler for StealingExecutor {
                 .as_ref()
                 .map(|p| p.detached_panics())
                 .unwrap_or(0),
+        }
+    }
+
+    /// Blocks until every submitted task has executed.
+    fn wait_quiescent(&self) {
+        loop {
+            let submitted = self.pool.submitted.load(Ordering::Acquire);
+            let executed = self.pool.executed.load(Ordering::Acquire);
+            if submitted == executed {
+                return;
+            }
+            std::thread::yield_now();
         }
     }
 }

@@ -20,7 +20,7 @@
 //! stands in for the latter). The *shape* claims of Figs 5–7 — linear
 //! scaling to the core count, slower gains from hyperthreads, width
 //! thresholds for saturation — are properties of the task graph and the
-//! policy, which the simulator executes faithfully. See DESIGN.md.
+//! policy, which the simulator executes faithfully.
 
 #![warn(missing_docs)]
 
